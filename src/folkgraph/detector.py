@@ -3,8 +3,10 @@
 The text frontend is deliberately rule based so that two runs over the same
 input and knowledge base produce byte-identical output: Unicode word
 tokenization, longest-match multiword segmentation, then lexicon lookups for
-lemma, part of speech, and sense. Everything downstream of the frontend is
-store lookup.
+lemma, part of speech, and sense. Frames, verb classes and activation are
+table lookups: the detector needs a frozen store and, once at construction,
+collects its ``evokes``, ``senseKey`` and ``triggers`` edges into tables that
+give the same objects, in the same order, as a pattern match would.
 
 Two sense modes exist. ``firstSense`` keeps one node per surface unit, taking
 the first matching entry in part-of-speech order and its top-ranked sense.
@@ -177,10 +179,18 @@ class Detector:
     def __init__(self, store: TripleStore, lexicon: Lexicon, mode: str = "firstSense"):
         if mode not in MODES:
             raise DetectorError(f"unknown detector mode: {mode!r}")
+        if not store.frozen:
+            raise DetectorError("detector needs a frozen store")
         self.store = store
         self.lexicon = lexicon
         self.mode = mode
-        self._multiwords = lexicon.multiwords()
+        # Multiwords by first token, each list longest first like lexicon.multiwords().
+        self._multiwords: dict[str, list[tuple[str, ...]]] = {}
+        for words in lexicon.multiwords():
+            self._multiwords.setdefault(words[0], []).append(words)
+        self._evokes = _objects_by_subject(store, vocab.EVOKES)
+        self._sense_keys = _objects_by_subject(store, vocab.SENSE_KEY)
+        self._triggers = _objects_by_subject(store, vocab.TRIGGERS)
 
     # -- frontend ------------------------------------------------------------
 
@@ -199,8 +209,8 @@ class Detector:
         return units
 
     def _multiword_at(self, tokens: list[tuple[int, int, str]], i: int) -> int:
-        # self._multiwords is sorted longest first, so the greedy pick is the longest match.
-        for words in self._multiwords:
+        # Candidates are sorted longest first, so the greedy pick is the longest match.
+        for words in self._multiwords.get(tokens[i][2], ()):
             n = len(words)
             if n <= len(tokens) - i and tuple(t[2] for t in tokens[i : i + n]) == words:
                 return n
@@ -230,34 +240,25 @@ class Detector:
                         lemma=entry.lemma,
                         pos=entry.pos,
                         sense=sense,
-                        frames=tuple(self.lexicon.frames_of_sense(sense)),
-                        verb_classes=tuple(self.lexicon.verb_classes_of_sense(sense)),
+                        frames=self._evokes.get(sense, ()),
+                        verb_classes=self._sense_keys.get(sense, ()),
                     )
                 )
         return SentenceGraph(sentence_id, text, nodes)
 
     # -- activation ----------------------------------------------------------
 
-    def _direct_triggers(self, entity: Term) -> list[Term]:
-        return [b["v"] for b in self.store.match([Pattern(entity, vocab.TRIGGERS, Variable("v"))])]
-
-    def _closure_triggers(self, entity: Term) -> list[tuple[Term, Term]]:
-        bindings = self.store.match(
-            [
-                Pattern(entity, vocab.EVOKES, Variable("f")),
-                Pattern(Variable("f"), vocab.TRIGGERS, Variable("v")),
-            ]
-        )
-        return [(b["f"], b["v"]) for b in bindings]
-
     def detect_values(self, graph: SentenceGraph) -> DetectionResult:
+        """Direct trigger edges on each node entity, then the two-hop closure
+        through the frames the entity evokes; each list in Term.key order."""
         paths = []
         for index, node in enumerate(graph.nodes):
             for entity in node.entities():
-                for value in self._direct_triggers(entity):
+                for value in self._triggers.get(entity, ()):
                     paths.append(ActivationPath(value, index, (entity, "triggers", value)))
-                for frame, value in self._closure_triggers(entity):
-                    paths.append(ActivationPath(value, index, (entity, "evokes", frame, "triggers", value)))
+                for frame in self._evokes.get(entity, ()):
+                    for value in self._triggers.get(frame, ()):
+                        paths.append(ActivationPath(value, index, (entity, "evokes", frame, "triggers", value)))
         return DetectionResult(graph, paths)
 
     # -- stance --------------------------------------------------------------
@@ -299,3 +300,13 @@ class Detector:
         result = self.detect_values(graph)
         result.stances = self.stance_query(graph)
         return result
+
+
+def _objects_by_subject(store: TripleStore, predicate: Term) -> dict[Term, tuple[Term, ...]]:
+    """Subject -> objects of ``predicate`` over every named graph, deduplicated
+    and in Term.key order: the bindings ``store.match`` gives for one pattern."""
+    objects: dict[Term, set[Term]] = {}
+    for graph in store.graphs.values():
+        for triple in graph.candidates(None, predicate, None):
+            objects.setdefault(triple.s, set()).add(triple.o)
+    return {subject: tuple(sorted(found, key=Term.key)) for subject, found in objects.items()}

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import vocab
+from .config import config_pairs
 from .rdfio import PrefixTable
 from .terms import Term
 
@@ -101,15 +102,9 @@ class CoverageReport:
 
 def load_label_map(path: str | Path, prefixes: PrefixTable) -> dict[str, Term]:
     mapping: dict[str, Term] = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise EvalError(f"malformed label map entry: {raw!r}")
-        label, name = (part.strip() for part in line.split("=", 1))
+    for label, name in config_pairs(path, EvalError, "label map entry"):
         if not label or not name:
-            raise EvalError(f"malformed label map entry: {raw!r}")
+            raise EvalError(f"{path}: malformed label map entry: {label} = {name}")
         mapping[label] = prefixes.expand(name)
     return mapping
 

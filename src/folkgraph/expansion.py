@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import vocab
+from .config import config_lines, config_pairs
 from .lexicon import Lexicon
 from .rdfio import PrefixTable
 from .store import TripleStore
@@ -115,12 +116,7 @@ def trigger_graph_name(value: Term) -> Term:
 
 
 def parse_selection(path: Path, prefixes: PrefixTable) -> list[Term]:
-    accepted = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            accepted.append(prefixes.expand(line))
-    return accepted
+    return [prefixes.expand(line) for line in config_lines(path)]
 
 
 def parse_plan(path: str | Path, prefixes: PrefixTable) -> ExpansionPlan:
@@ -130,13 +126,7 @@ def parse_plan(path: str | Path, prefixes: PrefixTable) -> ExpansionPlan:
     seeds = []
     selection_files: dict[str, Path] = {}
     auto: set[str] = set()
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise PlanError(f"{path}: malformed line {raw!r}")
-        key, _, rest = (part.strip() for part in line.partition("="))
+    for key, rest in config_pairs(path, PlanError, "plan line"):
         if key == "value":
             value = prefixes.expand(rest)
         elif key == "seed":

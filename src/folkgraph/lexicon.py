@@ -168,6 +168,3 @@ class Lexicon:
         if bad:
             raise LexiconError(f"unknown element types: {sorted(bad)}")
         return [fe for fe in self._frames[frame] if fe.element_type in types]
-
-    def known_frames(self) -> list[Term]:
-        return sorted(self._frames, key=Term.key)

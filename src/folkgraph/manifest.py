@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import vocab
+from .config import config_pairs
 from .detector import MODES
 from .lexicon import Lexicon
 from .rdfio import PrefixTable, parse, to_ntriples
@@ -70,22 +71,12 @@ def load_manifest(path: str | Path) -> Manifest:
     path = Path(path)
     _require_file(path, "manifest")
     base = path.parent
-    pairs: list[tuple[str, str]] = []
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ManifestError(f"{path}: malformed entry {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not value:
-            raise ManifestError(f"{path}: empty value for {key!r}")
-        pairs.append((key, value))
-
     by_key: dict[str, str] = {}
     graphs: list[str] = []
     plans: list[str] = []
-    for key, value in pairs:
+    for key, value in config_pairs(path, ManifestError, "manifest entry"):
+        if not value:
+            raise ManifestError(f"{path}: empty value for {key!r}")
         if key == "graph":
             graphs.append(value)
         elif key == "plan":

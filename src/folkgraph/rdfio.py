@@ -15,8 +15,10 @@ subject, predicate, object.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
+from .config import config_pairs
 from .terms import BLANK, IRI, LITERAL, Term, Triple, blank, iri, lit
 
 RDF_TYPE = iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
@@ -46,16 +48,8 @@ class PrefixTable:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PrefixTable":
-        mapping = {}
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"malformed prefix entry: {raw!r}")
-            prefix, namespace = (part.strip() for part in line.split("=", 1))
-            mapping[prefix.rstrip(":")] = namespace
-        return cls(mapping)
+        pairs = config_pairs(path, ValueError, "prefix entry")
+        return cls({prefix.rstrip(":"): namespace for prefix, namespace in pairs})
 
     def namespace(self, prefix: str) -> str:
         try:
@@ -227,7 +221,49 @@ def _read_nt_term(sc: _Scanner, resolve_dt) -> Term:
     raise sc.error(f"unexpected character {ch!r}")
 
 
+# One N-Triples line as the pipeline writes it: three IRIs, or two IRIs and a
+# literal without escapes. Each character class is the scanner's or narrower,
+# so a line this matches reads the same either way.
+_IRI_BODY = r'<([^ \t\n\r<>"{}|^`]*)>'
+_NT_LINE = re.compile(
+    rf'{_IRI_BODY}[ \t]*{_IRI_BODY}[ \t]*'
+    rf'(?:{_IRI_BODY}|"([^"\\\n]*)"(?:\^\^{_IRI_BODY}|@([A-Za-z0-9-]+))?)'
+    r"[ \t]*\.[ \t\r]*"
+)
+
+
+class _Interned(dict):
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        term = self[key] = self.make(key)
+        return term
+
+
 def parse_ntriples(text: str) -> list[Triple]:
+    """Line-at-a-time reader; any line it does not recognize sends the whole
+    text to the scanner, which keeps error positions, escapes, blank nodes and
+    multi-line statements as the scanner reads them."""
+    iris = _Interned(iri)
+    literals = _Interned(lambda key: lit(*key))
+    triples = []
+    match = _NT_LINE.fullmatch
+    for line in text.split("\n"):
+        m = match(line)
+        if m is None:
+            rest = line.lstrip(" \t\r")
+            if rest and rest[0] != "#":
+                return _scan_ntriples(text)
+            continue
+        s, p, o, value, datatype, lang = m.groups()
+        obj = iris[o] if value is None else literals[value, datatype, lang]
+        triples.append(Triple(iris[s], iris[p], obj))
+    return triples
+
+
+def _scan_ntriples(text: str) -> list[Triple]:
     sc = _Scanner(text)
     triples = []
     while True:

@@ -30,15 +30,6 @@ class Term:
         if self.datatype and self.lang:
             raise ValueError("literal cannot carry both datatype and language tag")
 
-    def is_iri(self) -> bool:
-        return self.kind == IRI
-
-    def is_blank(self) -> bool:
-        return self.kind == BLANK
-
-    def is_literal(self) -> bool:
-        return self.kind == LITERAL
-
     def key(self) -> tuple:
         return (_KIND_ORDER[self.kind], self.value, self.datatype or "", self.lang or "")
 

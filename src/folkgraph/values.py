@@ -16,6 +16,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from . import vocab
+from .config import config_pairs
 from .lexicon import Lexicon
 from .rdfio import PrefixTable
 from .terms import Term, Triple, iri, lit
@@ -43,14 +44,6 @@ class ValueConcept:
     parents: tuple[Term, ...] = ()
     provenance_urls: tuple[Term, ...] = ()
     aligned_to: tuple[Term, ...] = ()
-
-    @property
-    def concept_node(self) -> Term:
-        return self.id
-
-    @property
-    def situation_class_node(self) -> Term:
-        return self.id
 
 
 @dataclass(frozen=True)
@@ -208,24 +201,9 @@ def build_model(specs) -> ValueModel:
 # -- candidate deduplication ----------------------------------------------------
 
 
-def load_candidates(path: str | Path) -> list[ValueCandidate]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        return [ValueCandidate(row["label"], row["definition"], row["sourceUrl"]) for row in reader]
-
-
 def load_merge_overrides(path: str | Path) -> dict[str, str]:
     """Override file: `Alias -> Canonical` per line, `#` comments allowed."""
-    overrides = {}
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "->" not in line:
-            raise ValueModelError(f"malformed override line: {raw!r}")
-        alias, canonical = (part.strip() for part in line.split("->", 1))
-        overrides[alias] = canonical
-    return overrides
+    return dict(config_pairs(path, ValueModelError, "override line", separator="->"))
 
 
 def value_id_for_label(label: str) -> Term:

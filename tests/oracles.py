@@ -3,14 +3,18 @@
 Everything here favors obviousness over speed: the pattern matcher tries
 every combination of triples with nested loops, and the generators build
 small random graphs with known shape. Nothing in this file imports the
-store's matching code paths beyond the term model.
+store's matching code paths beyond the term model, except the reference
+detector, which answers every sense and activation lookup with a store
+pattern match so the detector's lookup tables can be checked against it.
 """
 
 from __future__ import annotations
 
 import random
+import re
 
 from folkgraph import vocab
+from folkgraph.detector import ActivationPath, NodeAnnotation, SentenceGraph
 from folkgraph.terms import Binding, Pattern, Term, Triple, Variable, iri, lit
 
 
@@ -166,3 +170,66 @@ def closure_justification_holds(store, trigger_triples: set[Triple], edge) -> bo
         if frame_triggers(binding["f"]):
             return True
     return False
+
+
+# -- reference detector ----------------------------------------------------------
+
+_WORD = re.compile(r"\w+")
+
+
+def reference_analyze(lexicon, text: str, sentence_id: str, mode: str) -> SentenceGraph:
+    """Segment by trying every multiword at every token, longest first; read
+    frames and verb classes with the lexicon's pattern-match sense lookups."""
+    tokens = [(m.start(), m.end(), m.group().lower()) for m in _WORD.finditer(text)]
+    units = []
+    i = 0
+    while i < len(tokens):
+        width = 1
+        for words in lexicon.multiwords():
+            n = len(words)
+            if n <= len(tokens) - i and tuple(t[2] for t in tokens[i : i + n]) == words:
+                width = n
+                break
+        units.append((tokens[i][0], tokens[i + width - 1][1], " ".join(t[2] for t in tokens[i : i + width])))
+        i += width
+    nodes = []
+    for start, end, surface in units:
+        entries = lexicon.lookup_form(surface)
+        if not entries:
+            continue
+        if mode == "firstSense":
+            picks = [(entries[0], entries[0].default_sense)]
+        else:
+            picks = [(entry, sense) for entry in entries for sense in entry.senses]
+        for entry, sense in picks:
+            nodes.append(
+                NodeAnnotation(
+                    node=iri(f"{vocab.NAMESPACES['sent']}{sentence_id}/n{len(nodes)}"),
+                    span=(start, end),
+                    anchor=text[start:end],
+                    lemma=entry.lemma,
+                    pos=entry.pos,
+                    sense=sense,
+                    frames=tuple(lexicon.frames_of_sense(sense)),
+                    verb_classes=tuple(lexicon.verb_classes_of_sense(sense)),
+                )
+            )
+    return SentenceGraph(sentence_id, text, nodes)
+
+
+def reference_activation(store, graph: SentenceGraph) -> list[ActivationPath]:
+    """Per node entity: direct trigger edges, then the evokes/triggers closure, as BGPs."""
+    paths = []
+    for index, node in enumerate(graph.nodes):
+        for entity in node.entities():
+            for b in store.match([Pattern(entity, vocab.TRIGGERS, Variable("v"))]):
+                paths.append(ActivationPath(b["v"], index, (entity, "triggers", b["v"])))
+            closure = store.match(
+                [
+                    Pattern(entity, vocab.EVOKES, Variable("f")),
+                    Pattern(Variable("f"), vocab.TRIGGERS, Variable("v")),
+                ]
+            )
+            for b in closure:
+                paths.append(ActivationPath(b["v"], index, (entity, "evokes", b["f"], "triggers", b["v"])))
+    return paths

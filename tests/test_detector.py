@@ -1,21 +1,38 @@
 import json
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from folkgraph.detector import Detector, DetectorError, StanceJudgment
+from folkgraph.lexicon import Lexicon
 from folkgraph.rdfio import to_ntriples
-from folkgraph.terms import Pattern, Triple, lit
+from folkgraph.store import TripleStore
+from folkgraph.terms import Pattern, Term, Triple, lit
 from folkgraph.vocab import (
     ACTIVATES,
+    AFFECT_POLARITY,
+    AFFECT_ROLE,
     ANCHOR,
+    EVOKES,
+    FORM,
+    FRAME,
+    LEMMA,
+    LEXICAL_ENTRY,
+    POS,
     PREFIXES,
+    RDF_TYPE,
+    SENSE,
+    SENSE_KEY,
     SENTENCE_NODE,
     SPAN_START,
     STANCE_ROLE,
     STANCE_TARGET,
     TRIGGERS,
 )
-from kb import pipeline_from_turtle, t
+from kb import LEXICON_GRAPH, pipeline_from_turtle, store_from_turtle, t
+from oracles import random_lexical_kb, reference_activation, reference_analyze
 
 LEXICAL = """
 lex:dishonest-adjective a fg:LexicalEntry ; fg:lemma "dishonest" ; fg:pos "adjective" ;
@@ -268,3 +285,80 @@ def test_sentence_node_triples_shape(detector):
     node = graph.nodes[0].node
     assert node.value.endswith("d1/n0")
     assert Triple(node, t("rdf:type"), SENTENCE_NODE) in triples
+
+
+# -- lookup tables against the pattern-match reference ------------------------------
+
+
+def _detection_kb(rng: random.Random) -> tuple[TripleStore, list[str]]:
+    """random_lexical_kb plus multiwords over its lemmas, inflected forms,
+    stance entries and two overlapping trigger graphs; returns the frozen store
+    and the words and multiword phrases sentences are drawn from."""
+    lexical = random_lexical_kb(rng)
+    lemmas = sorted({tr.o.value for tr in lexical if tr.p == LEMMA})
+    senses = sorted({tr.o for tr in lexical if tr.p == SENSE}, key=Term.key)
+    frames = sorted({tr.s for tr in lexical if tr.o == FRAME}, key=Term.key)
+    verb_classes = sorted({tr.o for tr in lexical if tr.p == SENSE_KEY}, key=Term.key)
+    words = lemmas + ["zz", "yy"]
+    phrases = []
+    for i in range(rng.randint(0, 3)):
+        # Some multiwords extend the previous one, so longest-first matters.
+        lemma = " ".join(rng.choice(words) for _ in range(rng.randint(1, 3)))
+        lemma = f"{phrases[-1]} {lemma}" if phrases and rng.random() < 0.5 else f"{rng.choice(words)} {lemma}"
+        entry = t(f"lex:mw{i}-multiword")
+        sense = t(f"wn:mw{i}-multiword-1")
+        lexical += [
+            Triple(entry, RDF_TYPE, LEXICAL_ENTRY),
+            Triple(entry, LEMMA, lit(lemma)),
+            Triple(entry, POS, lit("multiword")),
+            Triple(entry, SENSE, sense),
+        ]
+        senses.append(sense)
+        phrases.append(lemma)
+        for frame in rng.sample(frames, k=rng.randint(0, len(frames))):
+            lexical.append(Triple(sense, EVOKES, frame))
+    for lemma in lemmas:
+        if rng.random() < 0.5:
+            form = lemma + "s"
+            lexical.append(Triple(t(f"lex:{lemma}-verb"), FORM, lit(form)))
+            words.append(form)
+    for verb_class in verb_classes:
+        if rng.random() < 0.5:
+            lexical += [
+                Triple(verb_class, AFFECT_ROLE, lit("Agent")),
+                Triple(verb_class, AFFECT_POLARITY, lit(rng.choice(["positive", "negative"]))),
+            ]
+    values = [t(f"folk:V{i}") for i in range(3)]
+    sources = senses + frames + verb_classes
+    triggers = [Triple(rng.choice(sources), TRIGGERS, rng.choice(values)) for _ in range(rng.randint(0, 12))]
+    store = TripleStore()
+    store.extend(LEXICON_GRAPH, lexical)
+    store.extend(t("g:triggers-a"), triggers[: len(triggers) // 2])
+    store.extend(t("g:triggers-b"), triggers[len(triggers) // 3 :])  # overlaps the first graph
+    store.freeze()
+    return store, words + phrases
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_tables_match_pattern_match_reference(seed):
+    rng = random.Random(seed)
+    store, words = _detection_kb(rng)
+    lexicon = Lexicon(store, [LEXICON_GRAPH])
+    detector = Detector(store, lexicon)
+    for k in range(4):
+        tokens = [rng.choice(words) for _ in range(rng.randint(1, 12))]
+        text = " ".join(w.upper() if rng.random() < 0.1 else w for w in tokens) + "."
+        for mode in ("firstSense", "allSenses"):
+            graph = detector.analyze(text, f"h{k}", mode)
+            expected = reference_analyze(lexicon, text, f"h{k}", mode)
+            assert graph.nodes == expected.nodes
+            result = detector.detect_values(graph)
+            assert result.paths == reference_activation(store, expected)
+            assert detector.stance_query(graph) == detector.stance_query(expected)
+
+
+def test_unfrozen_store_refused():
+    store = store_from_turtle(LEXICAL, freeze=False)
+    with pytest.raises(DetectorError, match="frozen"):
+        Detector(store, Lexicon(store, [LEXICON_GRAPH]))

@@ -1,7 +1,11 @@
+from pathlib import Path
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from folkgraph import rdfio
+from folkgraph.config import config_lines, config_pairs
 from folkgraph.rdfio import (
     ParseError,
     PrefixTable,
@@ -55,6 +59,31 @@ def test_parse_error_reports_position():
     assert err.value.line == 2
     assert "unterminated" in str(err.value)
     assert "line 2" in str(err.value)
+
+
+def test_invalid_line_after_many_valid_ones_keeps_scanner_position():
+    valid = "".join(f"<{EX}s{i}> <{EX}p> <{EX}o> .\n" for i in range(1000))
+    with pytest.raises(ParseError) as err:
+        parse_ntriples(valid + f'<{EX}s> <{EX}p> "x" ;\n')
+    assert (err.value.line, err.value.column) == (1001, len(f'<{EX}s> <{EX}p> "x" ') + 1)
+    assert "expected '.'" in str(err.value)
+
+
+def test_pipeline_output_is_read_without_the_scanner(monkeypatch):
+    triples = [
+        t("s", "p", "o"),
+        t("s", "p", lit("plain words")),
+        t("s", "p", lit("5", datatype=EX + "int")),
+        t("s", "p", lit("hi", lang="en-GB")),
+        t("s", "p", lit("")),
+    ]
+    text = "# header\n\n" + to_ntriples(triples).replace("\n", "\r\n")
+
+    def scanner_called(text):
+        raise AssertionError("fell back to the scanner")
+
+    monkeypatch.setattr(rdfio, "_scan_ntriples", scanner_called)
+    assert parse_ntriples(text) == sorted(set(triples), key=Triple.key)
 
 
 def test_literal_subject_rejected():
@@ -160,6 +189,24 @@ def test_prefix_table_expand_and_compact(tmp_path):
         table.namespace("nope")
 
 
+def test_shipped_prefix_table_keeps_hash_namespaces():
+    fixtures = Path(__file__).resolve().parent.parent / "fixtures"
+    table = PrefixTable.from_file(fixtures / "prefixes.cfg")
+    assert table.namespace("rdf") == "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+    assert table.expand("rdf:type") == iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
+    assert table.compact("http://www.w3.org/2002/07/owl#sameAs") == "owl:sameAs"
+
+
+def test_config_comments_start_a_line_or_follow_whitespace(tmp_path):
+    path = tmp_path / "entries.cfg"
+    path.write_text("# header\n  # indented\nns = urn:x#  # trailing\ntab = urn:y#\t# note\nbare = urn:z#\n\n")
+    assert config_lines(path) == ["ns = urn:x#", "tab = urn:y#", "bare = urn:z#"]
+    assert config_pairs(path, ValueError, "entry") == [("ns", "urn:x#"), ("tab", "urn:y#"), ("bare", "urn:z#")]
+    path.write_text("ns urn:x\n")
+    with pytest.raises(ValueError, match="malformed entry: 'ns urn:x'"):
+        config_pairs(path, ValueError, "entry")
+
+
 simple_literals = st.text(
     alphabet=st.characters(blacklist_categories=("Cs",)), max_size=20
 ).map(lit)
@@ -196,3 +243,53 @@ def test_ntriples_round_trip_is_isomorphic(triples):
 def test_turtle_round_trip_preserves_triples(triples):
     table = PrefixTable({"ex": EX})
     assert set(parse_turtle(to_turtle(triples, table))) == set(triples)
+
+
+# -- line reader against the scanner -------------------------------------------
+
+
+nt_terms = st.one_of(
+    st.integers(0, 3).map(lambda i: iri(f"{EX}n{i}")),
+    st.integers(0, 2).map(lambda i: blank(f"b{i}")),
+    st.text(alphabet=st.sampled_from('ab "\\\t\r\né'), max_size=6).map(lit),
+    st.sampled_from(["en", "en-GB", "x1"]).map(lambda tag: lit("tagged", lang=tag)),
+    st.integers(0, 1).map(lambda i: lit(str(i), datatype=f"{EX}dt{i}")),
+)
+
+
+@st.composite
+def nt_documents(draw):
+    """to_ntriples-style lines mixed with comments, blank lines, CRLF endings,
+    triples split over two lines, and sometimes a cut that breaks the text."""
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        shape = draw(st.sampled_from(["triple"] * 6 + ["comment", "blank", "split"]))
+        s = draw(st.integers(0, 7).map(lambda i: blank("b0") if i == 7 else iri(f"{EX}n{i}")))
+        o = draw(nt_terms)
+        s_text, o_text = term_to_ntriples(s), term_to_ntriples(o)
+        if shape == "comment":
+            lines.append(draw(st.sampled_from(["# note", "  #", "#<x> <y> <z> ."])))
+        elif shape == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif shape == "split":
+            lines.append(f"{s_text} <{EX}p>\n  {o_text} .")
+        else:
+            lines.append(f"{s_text} <{EX}p> {o_text} .")
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "".join(line + newline for line in lines)
+    if text and draw(st.integers(0, 3)) == 0:
+        text = text[: draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+def _outcome(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return ("error", exc.line, exc.column, str(exc))
+
+
+@settings(max_examples=300)
+@given(nt_documents())
+def test_line_reader_agrees_with_scanner(text):
+    assert _outcome(parse_ntriples, text) == _outcome(rdfio._scan_ntriples, text)
