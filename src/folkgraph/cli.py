@@ -3,7 +3,8 @@
 Commands communicate through the workspace directory only, so each run is
 reproducible from the manifest plus fixture files. Exit codes: 0 on success,
 2 for input or configuration problems, 3 for data-consistency problems
-(stale selection files, corpus/detection mismatches, duplicate ids).
+(stale selection files, corpus/detection mismatches, duplicate ids or ids
+that share an output file name).
 """
 
 from __future__ import annotations
@@ -111,18 +112,26 @@ def _read_sentences(path: Path) -> list[tuple[str, str]]:
                 continue
             try:
                 payload = json.loads(raw)
-                pairs.append((str(payload["id"]), payload["text"]))
+                sentence_id, text = str(payload["id"]), payload["text"]
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ManifestError(f"{path}:{line}: bad sentence record: {exc}") from None
+            if not isinstance(text, str):
+                raise ManifestError(f"{path}:{line}: bad sentence record: text is not a string")
+            if not text:
+                raise ManifestError(f"{path}:{line}: empty sentence text")
+            pairs.append((sentence_id, text))
     else:
         for line, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
             if raw.strip():
                 pairs.append((str(line), raw))
-    seen: set[str] = set()
+    seen: dict[str, str] = {}  # output file stem -> sentence id
     for sentence_id, _ in pairs:
-        if sentence_id in seen:
-            raise DataError(f"{path}: duplicate sentence id {sentence_id!r}")
-        seen.add(sentence_id)
+        stem = safe_name(sentence_id)
+        if stem in seen:
+            if seen[stem] == sentence_id:
+                raise DataError(f"{path}: duplicate sentence id {sentence_id!r}")
+            raise DataError(f"{path}: sentence ids {seen[stem]!r} and {sentence_id!r} both write {stem}.nt")
+        seen[stem] = sentence_id
     return pairs
 
 

@@ -8,6 +8,9 @@ table lookups: the detector needs a frozen store and, once at construction,
 collects its ``evokes``, ``senseKey`` and ``triggers`` edges into tables that
 give the same objects, in the same order, as a pattern match would.
 
+Node IRIs are ``sent:<id>/n<index>`` with the sentence id percent-encoded
+(RFC 3986), so every id yields an IRI the N-Triples reader accepts.
+
 Two sense modes exist. ``firstSense`` keeps one node per surface unit, taking
 the first matching entry in part-of-speech order and its top-ranked sense.
 ``allSenses`` emits a node for every sense of every matching entry, which can
@@ -25,6 +28,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from urllib.parse import quote
 
 from . import vocab
 from .lexicon import Lexicon
@@ -222,6 +226,7 @@ class Detector:
         mode = self.mode if mode is None else mode
         if mode not in MODES:
             raise DetectorError(f"unknown detector mode: {mode!r}")
+        node_prefix = f"{vocab.NAMESPACES['sent']}{quote(sentence_id, safe='')}/n"
         nodes: list[NodeAnnotation] = []
         for start, end, surface in self._segment(text):
             entries = self.lexicon.lookup_form(surface)
@@ -234,7 +239,7 @@ class Detector:
             for entry, sense in picks:
                 nodes.append(
                     NodeAnnotation(
-                        node=iri(f"{vocab.NAMESPACES['sent']}{sentence_id}/n{len(nodes)}"),
+                        node=iri(f"{node_prefix}{len(nodes)}"),
                         span=(start, end),
                         anchor=text[start:end],
                         lemma=entry.lemma,

@@ -72,8 +72,16 @@ class Lexicon:
         for name in self.graph_names:
             yield from self.store.graph(name).candidates(s, p, o)
 
-    def _literal(self, subject: Term, predicate: Term, what: str) -> str:
-        values = [t.o.value for t in self._scan(s=subject, p=predicate) if t.o.kind == LITERAL]
+    def _by_predicate(self, subject: Term) -> dict[Term, list[Term]]:
+        """Objects of every triple on ``subject`` in the lexical graphs, by predicate."""
+        objects: dict[Term, list[Term]] = {}
+        for t in self._scan(s=subject):
+            objects.setdefault(t.p, []).append(t.o)
+        return objects
+
+    @staticmethod
+    def _literal(subject: Term, objects: dict[Term, list[Term]], predicate: Term, what: str) -> str:
+        values = [o.value for o in objects.get(predicate, ()) if o.kind == LITERAL]
         if len(values) != 1:
             raise LexiconError(f"{subject.value}: expected exactly one {what}, found {len(values)}")
         return values[0]
@@ -91,21 +99,19 @@ class Lexicon:
         self._check_same_as_symmetry()
 
     def _index_entry(self, node: Term) -> None:
-        lemma = self._literal(node, vocab.LEMMA, "lemma")
-        pos = self._literal(node, vocab.POS, "pos")
+        objects = self._by_predicate(node)
+        lemma = self._literal(node, objects, vocab.LEMMA, "lemma")
+        pos = self._literal(node, objects, vocab.POS, "pos")
         if pos not in _POS_ORDER:
             raise LexiconError(f"{node.value}: unknown pos {pos!r}")
-        senses = sorted(
-            (t.o for t in self._scan(s=node, p=vocab.SENSE)),
-            key=lambda s: (sense_rank(s), s.key()),
-        )
+        senses = sorted(objects.get(vocab.SENSE, ()), key=lambda s: (sense_rank(s), s.key()))
         if not senses:
             raise LexiconError(f"{node.value}: entry has no senses")
-        anchors = sorted((t.o for t in self._scan(s=node, p=vocab.CONCEPT_ANCHOR)), key=Term.key)
+        anchors = sorted(objects.get(vocab.CONCEPT_ANCHOR, ()), key=Term.key)
         entry = LexicalEntry(node, lemma, pos, tuple(senses), tuple(anchors))
         self._by_lemma.setdefault(lemma, []).append(entry)
-        for triple in self._scan(s=node, p=vocab.FORM):
-            self._by_form.setdefault(triple.o.value, []).append(entry)
+        for form in objects.get(vocab.FORM, ()):
+            self._by_form.setdefault(form.value, []).append(entry)
         if pos == "multiword":
             self._multiwords.append(tuple(lemma.split(" ")))
 
@@ -114,8 +120,9 @@ class Lexicon:
         names = set()
         for triple in sorted(self._scan(s=node, p=vocab.ELEMENT), key=lambda t: t.o.key()):
             fe = triple.o
-            name = self._literal(fe, vocab.RDFS_LABEL, "element label")
-            element_type = self._literal(fe, vocab.ELEMENT_TYPE, "element type")
+            objects = self._by_predicate(fe)
+            name = self._literal(fe, objects, vocab.RDFS_LABEL, "element label")
+            element_type = self._literal(fe, objects, vocab.ELEMENT_TYPE, "element type")
             if element_type not in ELEMENT_TYPES:
                 raise LexiconError(f"{fe.value}: unknown element type {element_type!r}")
             if name in names:

@@ -1,16 +1,15 @@
 """In-memory triple store with named graphs and pattern matching.
 
-Each named graph keeps three hash indexes (subject, predicate, object) over a
-set of triples, so single-position lookups are dict hits and a basic graph
-pattern can always start from its most selective constant. Stores are built
+Each named graph keeps a set of triples plus three hash indexes (subject,
+predicate, object) whose buckets list the triples in insertion order, so
+single-position lookups are dict hits and a basic graph pattern can always
+start from its most selective constant. Stores are built
 once and then frozen; mutation after freeze is a bug in the caller.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
-
-from .terms import BLANK, Binding, Pattern, Term, Triple, Variable
+from .terms import Binding, Pattern, Term, Triple, Variable
 
 
 class StoreError(ValueError):
@@ -23,9 +22,9 @@ class NamedGraph:
     def __init__(self, name: Term):
         self.name = name
         self.triples: set[Triple] = set()
-        self._by_s: dict[Term, set[Triple]] = {}
-        self._by_p: dict[Term, set[Triple]] = {}
-        self._by_o: dict[Term, set[Triple]] = {}
+        self._by_s: dict[Term, list[Triple]] = {}
+        self._by_p: dict[Term, list[Triple]] = {}
+        self._by_o: dict[Term, list[Triple]] = {}
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -37,9 +36,9 @@ class NamedGraph:
         if triple in self.triples:
             return
         self.triples.add(triple)
-        self._by_s.setdefault(triple.s, set()).add(triple)
-        self._by_p.setdefault(triple.p, set()).add(triple)
-        self._by_o.setdefault(triple.o, set()).add(triple)
+        self._by_s.setdefault(triple.s, []).append(triple)
+        self._by_p.setdefault(triple.p, []).append(triple)
+        self._by_o.setdefault(triple.o, []).append(triple)
 
     def candidates(self, s: Term | None, p: Term | None, o: Term | None):
         """Triples matching the given constants; None positions are wildcards.
@@ -48,11 +47,11 @@ class NamedGraph:
         """
         pools = []
         if s is not None:
-            pools.append(self._by_s.get(s, set()))
+            pools.append(self._by_s.get(s, ()))
         if p is not None:
-            pools.append(self._by_p.get(p, set()))
+            pools.append(self._by_p.get(p, ()))
         if o is not None:
-            pools.append(self._by_o.get(o, set()))
+            pools.append(self._by_o.get(o, ()))
         if not pools:
             return iter(self.triples)
         smallest = min(pools, key=len)
@@ -204,93 +203,3 @@ def _unique_sorted(bindings: list[Binding]) -> list[Binding]:
             seen.add(k)
             out.append(b)
     return out
-
-
-# -- isomorphism -------------------------------------------------------------
-
-
-def isomorphic(a, b) -> bool:
-    """Whether two triple collections are equal up to blank node relabeling.
-
-    Ground triples must match exactly. Blank-containing triples are checked
-    by refining candidate label pairings on structural signatures, with a
-    permutation search over any leftover ties. Blank node populations in the
-    pipeline are tiny, so the search is never a concern.
-    """
-    a, b = set(a), set(b)
-    ground_a = {t for t in a if not _has_blank(t)}
-    ground_b = {t for t in b if not _has_blank(t)}
-    if ground_a != ground_b:
-        return False
-    rest_a, rest_b = a - ground_a, b - ground_b
-    if len(rest_a) != len(rest_b):
-        return False
-    if not rest_a:
-        return True
-
-    sig_a = _signatures(rest_a)
-    sig_b = _signatures(rest_b)
-    groups_a: dict[tuple, list[Term]] = {}
-    groups_b: dict[tuple, list[Term]] = {}
-    for node, sig in sig_a.items():
-        groups_a.setdefault(sig, []).append(node)
-    for node, sig in sig_b.items():
-        groups_b.setdefault(sig, []).append(node)
-    if set(groups_a) != set(groups_b):
-        return False
-    if any(len(groups_a[s]) != len(groups_b[s]) for s in groups_a):
-        return False
-
-    # Permute within signature groups; signatures usually pin everything down.
-    def assignments(sigs):
-        if not sigs:
-            yield {}
-            return
-        sig, rest = sigs[0], sigs[1:]
-        for tail in assignments(rest):
-            for perm in permutations(groups_b[sig]):
-                mapping = dict(zip(groups_a[sig], perm))
-                mapping.update(tail)
-                yield mapping
-
-    for mapping in assignments(sorted(groups_a)):
-        if {_rename(t, mapping) for t in rest_a} == rest_b:
-            return True
-    return False
-
-
-def _has_blank(t: Triple) -> bool:
-    return t.s.kind == BLANK or t.o.kind == BLANK
-
-
-def _signatures(triples: set[Triple]) -> dict[Term, tuple]:
-    """Per-blank-node structural fingerprints, refined to a fixpoint."""
-    nodes = {term for t in triples for term in (t.s, t.o) if term.kind == BLANK}
-    colors: dict[Term, tuple] = {node: () for node in nodes}
-    for _ in range(len(nodes) + 1):
-        nxt = {}
-        for node in nodes:
-            out = []
-            inc = []
-            for t in triples:
-                if t.s == node:
-                    out.append((t.p.key(), _color_of(t.o, colors)))
-                if t.o == node:
-                    inc.append((t.p.key(), _color_of(t.s, colors)))
-            nxt[node] = (tuple(sorted(out)), tuple(sorted(inc)))
-        if nxt == colors:
-            break
-        colors = nxt
-    return colors
-
-
-def _color_of(term: Term, colors: dict[Term, tuple]):
-    if term.kind == BLANK:
-        return ("blank", colors[term])
-    return ("ground", term.key())
-
-
-def _rename(t: Triple, mapping: dict[Term, Term]) -> Triple:
-    s = mapping.get(t.s, t.s) if t.s.kind == BLANK else t.s
-    o = mapping.get(t.o, t.o) if t.o.kind == BLANK else t.o
-    return Triple(s, t.p, o)

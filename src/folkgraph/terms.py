@@ -1,12 +1,16 @@
 """Graph term model: IRIs, literals, blank nodes, triples, and query patterns.
 
 Literals carry an optional datatype IRI or language tag, never both.
-Terms are immutable and hashable so they can key the store indexes directly.
+Terms and triples are tuples, so they hash and compare at C speed and key the
+store indexes directly. A tuple compares equal to a plain tuple of the same
+fields and orders field by field, so always sort with ``key=Term.key`` or
+``key=Triple.key``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 IRI = "iri"
 LITERAL = "literal"
@@ -15,20 +19,24 @@ BLANK = "blank"
 _KIND_ORDER = {IRI: 0, BLANK: 1, LITERAL: 2}
 
 
-@dataclass(frozen=True, slots=True)
-class Term:
+class _TermFields(NamedTuple):
     kind: str
     value: str
     datatype: str | None = None
     lang: str | None = None
 
-    def __post_init__(self) -> None:
-        if self.kind not in _KIND_ORDER:
-            raise ValueError(f"unknown term kind: {self.kind!r}")
-        if self.kind != LITERAL and (self.datatype or self.lang):
+
+class Term(_TermFields):
+    __slots__ = ()
+
+    def __new__(cls, kind: str, value: str, datatype: str | None = None, lang: str | None = None):
+        if kind not in _KIND_ORDER:
+            raise ValueError(f"unknown term kind: {kind!r}")
+        if kind != LITERAL and (datatype or lang):
             raise ValueError("datatype/lang only valid on literals")
-        if self.datatype and self.lang:
+        if datatype and lang:
             raise ValueError("literal cannot carry both datatype and language tag")
+        return tuple.__new__(cls, (kind, value, datatype, lang))
 
     def key(self) -> tuple:
         return (_KIND_ORDER[self.kind], self.value, self.datatype or "", self.lang or "")
@@ -46,8 +54,7 @@ def blank(label: str) -> Term:
     return Term(BLANK, label)
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
+class Triple(NamedTuple):
     s: Term
     p: Term
     o: Term

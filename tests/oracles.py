@@ -1,8 +1,9 @@
 """Reference implementations the real modules are checked against.
 
 Everything here favors obviousness over speed: the pattern matcher tries
-every combination of triples with nested loops, and the generators build
-small random graphs with known shape. Nothing in this file imports the
+every combination of triples with nested loops, the generators build small
+random graphs with known shape, and ``isomorphic`` compares graphs up to
+blank node relabeling. Nothing in this file imports the
 store's matching code paths beyond the term model, except the reference
 detector, which answers every sense and activation lookup with a store
 pattern match so the detector's lookup tables can be checked against it.
@@ -12,10 +13,11 @@ from __future__ import annotations
 
 import random
 import re
+from itertools import permutations
 
 from folkgraph import vocab
 from folkgraph.detector import ActivationPath, NodeAnnotation, SentenceGraph
-from folkgraph.terms import Binding, Pattern, Term, Triple, Variable, iri, lit
+from folkgraph.terms import BLANK, Binding, Pattern, Term, Triple, Variable, iri, lit
 
 
 def brute_force_match(graphs: dict[Term, set[Triple]], patterns: list[Pattern]) -> list[Binding]:
@@ -233,3 +235,93 @@ def reference_activation(store, graph: SentenceGraph) -> list[ActivationPath]:
             for b in closure:
                 paths.append(ActivationPath(b["v"], index, (entity, "evokes", b["f"], "triggers", b["v"])))
     return paths
+
+
+# -- isomorphism -------------------------------------------------------------
+
+
+def isomorphic(a, b) -> bool:
+    """Whether two triple collections are equal up to blank node relabeling.
+
+    Ground triples must match exactly. Blank-containing triples are checked
+    by refining candidate label pairings on structural signatures, with a
+    permutation search over any leftover ties. Blank node populations in the
+    pipeline are tiny, so the search is never a concern.
+    """
+    a, b = set(a), set(b)
+    ground_a = {t for t in a if not _has_blank(t)}
+    ground_b = {t for t in b if not _has_blank(t)}
+    if ground_a != ground_b:
+        return False
+    rest_a, rest_b = a - ground_a, b - ground_b
+    if len(rest_a) != len(rest_b):
+        return False
+    if not rest_a:
+        return True
+
+    sig_a = _signatures(rest_a)
+    sig_b = _signatures(rest_b)
+    groups_a: dict[tuple, list[Term]] = {}
+    groups_b: dict[tuple, list[Term]] = {}
+    for node, sig in sig_a.items():
+        groups_a.setdefault(sig, []).append(node)
+    for node, sig in sig_b.items():
+        groups_b.setdefault(sig, []).append(node)
+    if set(groups_a) != set(groups_b):
+        return False
+    if any(len(groups_a[s]) != len(groups_b[s]) for s in groups_a):
+        return False
+
+    # Permute within signature groups; signatures usually pin everything down.
+    def assignments(sigs):
+        if not sigs:
+            yield {}
+            return
+        sig, rest = sigs[0], sigs[1:]
+        for tail in assignments(rest):
+            for perm in permutations(groups_b[sig]):
+                mapping = dict(zip(groups_a[sig], perm))
+                mapping.update(tail)
+                yield mapping
+
+    for mapping in assignments(sorted(groups_a)):
+        if {_rename(t, mapping) for t in rest_a} == rest_b:
+            return True
+    return False
+
+
+def _has_blank(t: Triple) -> bool:
+    return t.s.kind == BLANK or t.o.kind == BLANK
+
+
+def _signatures(triples: set[Triple]) -> dict[Term, tuple]:
+    """Per-blank-node structural fingerprints, refined to a fixpoint."""
+    nodes = {term for t in triples for term in (t.s, t.o) if term.kind == BLANK}
+    colors: dict[Term, tuple] = {node: () for node in nodes}
+    for _ in range(len(nodes) + 1):
+        nxt = {}
+        for node in nodes:
+            out = []
+            inc = []
+            for t in triples:
+                if t.s == node:
+                    out.append((t.p.key(), _color_of(t.o, colors)))
+                if t.o == node:
+                    inc.append((t.p.key(), _color_of(t.s, colors)))
+            nxt[node] = (tuple(sorted(out)), tuple(sorted(inc)))
+        if nxt == colors:
+            break
+        colors = nxt
+    return colors
+
+
+def _color_of(term: Term, colors: dict[Term, tuple]):
+    if term.kind == BLANK:
+        return ("blank", colors[term])
+    return ("ground", term.key())
+
+
+def _rename(t: Triple, mapping: dict[Term, Term]) -> Triple:
+    s = mapping.get(t.s, t.s) if t.s.kind == BLANK else t.s
+    o = mapping.get(t.o, t.o) if t.o.kind == BLANK else t.o
+    return Triple(s, t.p, o)

@@ -21,11 +21,11 @@ from folkgraph.detector import Detector
 from folkgraph.expansion import Expander, Seed
 from folkgraph.manifest import WORKSPACE_ENV, load_trigger_graphs, load_workspace
 from folkgraph.rdfio import parse, serialize
-from folkgraph.store import TripleStore, isomorphic
+from folkgraph.store import TripleStore
 from folkgraph.terms import Term, Triple, blank, iri, lit
 from folkgraph.vocab import PREFIXES
 
-from oracles import brute_force_match, random_bgp, random_graphs
+from oracles import brute_force_match, isomorphic, random_bgp, random_graphs
 from test_expansion import run_closure_check
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

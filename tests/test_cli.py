@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from folkgraph import vocab
 from folkgraph.cli import main
+from folkgraph.rdfio import parse_ntriples
 
 from kb import MINI_CORPUS, MINI_SENTENCES, write_mini_pipeline
 
@@ -181,6 +183,36 @@ def test_detect_empty_input(root, manifest, built, capsys):
     assert main(["detect", "--manifest", manifest, "--input", str(empty), "--out", str(root / "out")]) == 0
     assert (root / "out" / "summary.jsonl").read_text(encoding="utf-8") == ""
     assert "sentences: 0" in capsys.readouterr().out
+
+
+def test_detect_empty_text_names_the_line(root, manifest, built, capsys):
+    inputs = write_sentences(root / "gap.jsonl", [("s1", "That is dangerous."), ("s2", "")])
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out")]) == 2
+    assert f"{inputs}:2: empty sentence text" in capsys.readouterr().err
+    assert not (root / "out").exists()
+
+
+def test_detect_non_string_text_exits_2(root, manifest, built, capsys):
+    inputs = write_sentences(root / "num.jsonl", [("s1", "That is dangerous."), ("s2", 5)])
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out")]) == 2
+    assert f"{inputs}:2: bad sentence record: text is not a string" in capsys.readouterr().err
+
+
+def test_detect_ids_sharing_a_file_name_exit_3(root, manifest, built, capsys):
+    pairs = [("a b", "That is dangerous."), ("a/b", "He took a gamble."), ("a_b", "They walk home.")]
+    inputs = write_sentences(root / "clash.jsonl", pairs)
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out")]) == 3
+    assert "'a b' and 'a/b' both write a_b.nt" in capsys.readouterr().err
+    assert not (root / "out").exists()
+
+
+def test_detect_graph_of_reserved_id_reads_back(root, manifest, built):
+    inputs = write_sentences(root / "odd.jsonl", [("a b/c?", "That is dangerous.")])
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out")]) == 0
+    triples = parse_ntriples((root / "out" / "a_b_c_.nt").read_text(encoding="utf-8"))
+    nodes = {t.s.value for t in triples if t.p == vocab.RDF_TYPE and t.o == vocab.SENTENCE_NODE}
+    assert nodes
+    assert all(node.startswith(vocab.NAMESPACES["sent"] + "a%20b%2Fc%3F/n") for node in nodes)
 
 
 def test_detect_plain_text_lines(root, manifest, built):

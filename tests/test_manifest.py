@@ -1,5 +1,7 @@
 """Manifest parsing and workspace build/load round-trips."""
 
+import gc
+
 import pytest
 
 from folkgraph import vocab
@@ -13,7 +15,7 @@ from folkgraph.manifest import (
     safe_name,
     workspace_dir,
 )
-from folkgraph.rdfio import to_ntriples
+from folkgraph.rdfio import ParseError, to_ntriples
 from folkgraph.terms import Pattern, Triple
 from folkgraph.vocab import PREFIXES
 
@@ -236,3 +238,38 @@ def test_load_trigger_graphs_without_directory(manifest_path):
     build_workspace(manifest, workspace)
     store, _, _ = load_workspace(workspace)
     assert load_trigger_graphs(store, workspace) == []
+
+
+# -- garbage collector state ---------------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["gc-enabled", "gc-disabled"])
+def gc_before(request):
+    was_enabled = gc.isenabled()
+    gc.enable() if request.param else gc.disable()
+    yield request.param
+    gc.enable() if was_enabled else gc.disable()
+
+
+def test_build_and_load_keep_gc_state(manifest_path, gc_before):
+    workspace = workspace_dir(manifest_path)
+    build_workspace(load_manifest(manifest_path), workspace)
+    assert gc.isenabled() is gc_before
+    load_workspace(workspace)
+    assert gc.isenabled() is gc_before
+
+
+def test_failed_load_keeps_gc_state(manifest_path, gc_before):
+    workspace = workspace_dir(manifest_path)
+    build_workspace(load_manifest(manifest_path), workspace)
+    (workspace / "graphs" / "g_lexicon.nt").write_text("<urn:a> <urn:b> .\n", encoding="utf-8")
+    with pytest.raises(ParseError):
+        load_workspace(workspace)
+    assert gc.isenabled() is gc_before
+
+
+def test_failed_build_keeps_gc_state(manifest_path, gc_before):
+    (manifest_path.parent / "kb" / "lexicon.ttl").write_text("not turtle\n", encoding="utf-8")
+    with pytest.raises(ParseError):
+        build_workspace(load_manifest(manifest_path), workspace_dir(manifest_path))
+    assert gc.isenabled() is gc_before

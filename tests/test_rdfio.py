@@ -15,8 +15,8 @@ from folkgraph.rdfio import (
     to_ntriples,
     to_turtle,
 )
-from folkgraph.store import isomorphic
 from folkgraph.terms import Triple, blank, iri, lit
+from oracles import isomorphic
 
 EX = "http://example.org/"
 

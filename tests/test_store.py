@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folkgraph.store import StoreError, TripleStore, isomorphic
+from folkgraph.store import StoreError, TripleStore
 from folkgraph.terms import Pattern, Triple, Variable, blank, iri, lit
-from oracles import brute_force_match, random_bgp, random_graphs
+from oracles import brute_force_match, isomorphic, random_bgp, random_graphs
 
 EX = "http://example.org/"
 G = iri(EX + "g")
