@@ -74,6 +74,7 @@ def cmd_expand(args: argparse.Namespace) -> int:
     expander = Expander(store, lexicon, manifest.prefixes)
 
     plans = [parse_plan(path, manifest.prefixes) for path in manifest.plans]
+    owned = {safe_name(manifest.prefixes.compact(plan.value.value)) for plan in plans}
     if args.value is not None:
         wanted = manifest.prefixes.expand(args.value)
         plans = [plan for plan in plans if plan.value == wanted]
@@ -84,6 +85,11 @@ def cmd_expand(args: argparse.Namespace) -> int:
     reports_dir = workspace / "reports"
     triggers_dir.mkdir(parents=True, exist_ok=True)
     reports_dir.mkdir(parents=True, exist_ok=True)
+    # Output of plans no longer in the manifest would still be loaded by detect.
+    for path in sorted([*triggers_dir.glob("*.nt"), *reports_dir.glob("*.json")]):
+        if path.stem not in owned:
+            path.unlink()
+            print(f"removed stale {path.parent.name}/{path.name}")
 
     for plan in plans:
         report = expander.run_plan(plan)

@@ -3,10 +3,11 @@
 The text frontend is deliberately rule based so that two runs over the same
 input and knowledge base produce byte-identical output: Unicode word
 tokenization, longest-match multiword segmentation, then lexicon lookups for
-lemma, part of speech, and sense. Frames, verb classes and activation are
-table lookups: the detector needs a frozen store and, once at construction,
-collects its ``evokes``, ``senseKey`` and ``triggers`` edges into tables that
-give the same objects, in the same order, as a pattern match would.
+lemma, part of speech, and sense. Frames, verb classes, activation and
+stance are table lookups: the detector needs a frozen store and, once at
+construction, collects its ``evokes``, ``senseKey``, ``triggers``,
+``affectRole`` and ``affectPolarity`` edges into tables that give the same
+objects, in the same order, as a pattern match would.
 
 Node IRIs are ``sent:<id>/n<index>`` with the sentence id percent-encoded
 (RFC 3986), so every id yields an IRI the N-Triples reader accepts.
@@ -34,7 +35,7 @@ from . import vocab
 from .lexicon import Lexicon
 from .rdfio import PrefixTable
 from .store import TripleStore
-from .terms import Pattern, Term, Triple, Variable, iri, lit
+from .terms import Term, Triple, iri, lit
 
 MODES = ("firstSense", "allSenses")
 
@@ -178,23 +179,24 @@ class DetectionResult:
 
 
 class Detector:
-    """Shared read-only store and lexicon; one instance serves many sentences."""
+    """Read-only lookup tables and lexicon; one instance serves many sentences."""
 
     def __init__(self, store: TripleStore, lexicon: Lexicon, mode: str = "firstSense"):
         if mode not in MODES:
             raise DetectorError(f"unknown detector mode: {mode!r}")
         if not store.frozen:
             raise DetectorError("detector needs a frozen store")
-        self.store = store
         self.lexicon = lexicon
         self.mode = mode
         # Multiwords by first token, each list longest first like lexicon.multiwords().
         self._multiwords: dict[str, list[tuple[str, ...]]] = {}
         for words in lexicon.multiwords():
             self._multiwords.setdefault(words[0], []).append(words)
-        self._evokes = _objects_by_subject(store, vocab.EVOKES)
-        self._sense_keys = _objects_by_subject(store, vocab.SENSE_KEY)
-        self._triggers = _objects_by_subject(store, vocab.TRIGGERS)
+        self._evokes = store.objects_by_subject(vocab.EVOKES)
+        self._sense_keys = store.objects_by_subject(vocab.SENSE_KEY)
+        self._triggers = store.objects_by_subject(vocab.TRIGGERS)
+        self._affect_roles = store.objects_by_subject(vocab.AFFECT_ROLE)
+        self._affect_polarities = store.objects_by_subject(vocab.AFFECT_POLARITY)
 
     # -- frontend ------------------------------------------------------------
 
@@ -269,13 +271,9 @@ class Detector:
     # -- stance --------------------------------------------------------------
 
     def _affect_entries(self, verb_class: Term) -> list[tuple[str, str]]:
-        bindings = self.store.match(
-            [
-                Pattern(verb_class, vocab.AFFECT_ROLE, Variable("r")),
-                Pattern(verb_class, vocab.AFFECT_POLARITY, Variable("p")),
-            ]
-        )
-        return [(b["r"].value, b["p"].value) for b in bindings]
+        # Polarity-major, the order of the (role, polarity) join sorted by variable name.
+        roles = self._affect_roles.get(verb_class, ())
+        return [(r.value, p.value) for p in self._affect_polarities.get(verb_class, ()) for r in roles]
 
     def _nearest_preceding_target(self, graph: SentenceGraph, index: int) -> int | None:
         anchor_start = graph.nodes[index].span[0]
@@ -305,13 +303,3 @@ class Detector:
         result = self.detect_values(graph)
         result.stances = self.stance_query(graph)
         return result
-
-
-def _objects_by_subject(store: TripleStore, predicate: Term) -> dict[Term, tuple[Term, ...]]:
-    """Subject -> objects of ``predicate`` over every named graph, deduplicated
-    and in Term.key order: the bindings ``store.match`` gives for one pattern."""
-    objects: dict[Term, set[Term]] = {}
-    for graph in store.graphs.values():
-        for triple in graph.candidates(None, predicate, None):
-            objects.setdefault(triple.s, set()).add(triple.o)
-    return {subject: tuple(sorted(found, key=Term.key)) for subject, found in objects.items()}

@@ -22,7 +22,7 @@ from .config import config_lines, config_pairs
 from .lexicon import Lexicon
 from .rdfio import PrefixTable
 from .store import TripleStore
-from .terms import Pattern, Term, Triple, Variable, iri
+from .terms import Term, Triple, iri
 
 QUERY_KINDS = ("frame", "frameElement", "lexicalUnit", "yago", "closeMatch", "concept", "factual")
 
@@ -84,7 +84,6 @@ class ExpansionReport:
     value: Term
     queries: dict[str, QueryOutcome]
     edges: list[TriggerEdge]
-    graph_name: Term | None
 
     def proposed(self) -> list[str]:
         return [kind for kind, q in self.queries.items() if q.mode == "propose"]
@@ -163,7 +162,7 @@ class Expander:
         return _sorted_terms(
             frame
             for sense in self._seed_senses(seed)
-            for frame in self.lexicon.frames_of_sense(sense)
+            for frame in self.store.objects(sense, vocab.EVOKES)
         )
 
     def concept_activation_query(self, seed: Seed) -> list[Term]:
@@ -171,10 +170,8 @@ class Expander:
         neighbors = []
         for anchor in anchors:
             for relation in vocab.CONCEPT_RELATIONS:
-                for b in self.store.match([Pattern(anchor, relation, Variable("x"))]):
-                    neighbors.append(b["x"])
-                for b in self.store.match([Pattern(Variable("x"), relation, anchor)]):
-                    neighbors.append(b["x"])
+                neighbors.extend(self.store.objects(anchor, relation))
+                neighbors.extend(self.store.subjects(relation, anchor))
         return _sorted_terms(n for n in neighbors if n not in anchors)
 
     def _seed_anchors(self, seed: Seed) -> list[Term]:
@@ -182,8 +179,7 @@ class Expander:
         return _sorted_terms(a for e in entries for a in e.concept_anchors)
 
     def factual_expansion_query(self, concept: Term) -> list[Term]:
-        bindings = self.store.match([Pattern(concept, vocab.EXTERNAL_URL, Variable("x"))])
-        return [b["x"] for b in bindings]
+        return self.store.objects(concept, vocab.EXTERNAL_URL)
 
     def frame_element_query(self, frame: Term):
         return self.lexicon.frame_elements(frame, set(["core", "peripheral", "extraThematic"]))
@@ -194,32 +190,32 @@ class Expander:
 
     def _lexical_unit_split(self, frames: list[Term]) -> tuple[list[Term], list[Term]]:
         evokers = _sorted_terms(
-            b["s"]
+            s
             for frame in frames
-            for b in self.store.match([Pattern(Variable("s"), vocab.EVOKES, frame)])
+            for s in self.store.subjects(vocab.EVOKES, frame)
         )
         via_sense_key = _sorted_terms(
-            vc for s in evokers for vc in self.lexicon.verb_classes_of_sense(s)
+            vc for s in evokers for vc in self.store.objects(s, vocab.SENSE_KEY)
         )
         synsets = [e for e in evokers if not self._is_verb_class(e)]
         verb_classes = _sorted_terms([e for e in evokers if self._is_verb_class(e)] + via_sense_key)
         return synsets, verb_classes
 
     def _is_verb_class(self, term: Term) -> bool:
-        return self.store.ask([Pattern(Variable("s"), vocab.SENSE_KEY, term)])
+        return bool(self.store.subjects(vocab.SENSE_KEY, term))
 
     def yago_expansion(self, synsets: list[Term]) -> list[Term]:
         return _sorted_terms(
-            b["y"]
+            y
             for synset in synsets
-            for b in self.store.match([Pattern(synset, vocab.OWL_SAME_AS, Variable("y"))])
+            for y in self.store.objects(synset, vocab.OWL_SAME_AS)
         )
 
     def close_match_expansion(self, frames: list[Term]) -> list[Term]:
         return _sorted_terms(
-            b["e"]
+            e
             for frame in frames
-            for b in self.store.match([Pattern(Variable("e"), vocab.SKOS_CLOSE_MATCH, frame)])
+            for e in self.store.subjects(vocab.SKOS_CLOSE_MATCH, frame)
         )
 
     # -- plan execution --------------------------------------------------------
@@ -241,7 +237,7 @@ class Expander:
 
     def run_plan(self, plan: ExpansionPlan) -> ExpansionReport:
         if not plan.seeds:
-            return ExpansionReport(plan.value, {}, [], None)
+            return ExpansionReport(plan.value, {}, [])
 
         queries: dict[str, QueryOutcome] = {}
 
@@ -282,8 +278,7 @@ class Expander:
         queries["factual"] = self._apply_selection(plan, "factual", factual_candidates)
 
         edges = self._emit_edges(plan.value, queries, set(synsets))
-        graph_name = trigger_graph_name(plan.value)
-        return ExpansionReport(plan.value, queries, edges, graph_name)
+        return ExpansionReport(plan.value, queries, edges)
 
     def _emit_edges(self, value, queries, synset_set) -> list[TriggerEdge]:
         edges = []

@@ -3,8 +3,8 @@
 Entries, frames, and frame elements are scanned once from the graphs marked
 with the `lexical` role and indexed by lemma and surface form. Sense-level
 links (evoked frames, verb classes, concept hops, external alignments) are
-answered by pattern matching against the store, so every answer given here
-is reproducible as a BGP result.
+not indexed here: callers read them from the store with
+``TripleStore.objects``/``subjects``.
 
 Sense rank follows the WordNet numbering convention: the trailing integer of
 the sense IRI (`...risk-verb-2` has rank 2), rank 1 being the default sense.
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import vocab
 from .store import TripleStore
-from .terms import LITERAL, Pattern, Term, Variable
+from .terms import LITERAL, Term
 
 POS_VALUES = ("noun", "verb", "adjective", "adverb", "multiword")
 _POS_ORDER = {pos: i for i, pos in enumerate(POS_VALUES)}
@@ -159,14 +159,6 @@ class Lexicon:
     def multiwords(self) -> list[tuple[str, ...]]:
         """Multiword lemmas as token tuples, longest first."""
         return list(self._multiwords)
-
-    def frames_of_sense(self, sense: Term) -> list[Term]:
-        bindings = self.store.match([Pattern(sense, vocab.EVOKES, Variable("f"))])
-        return [b["f"] for b in bindings]
-
-    def verb_classes_of_sense(self, sense: Term) -> list[Term]:
-        bindings = self.store.match([Pattern(sense, vocab.SENSE_KEY, Variable("v"))])
-        return [b["v"] for b in bindings]
 
     def frame_elements(self, frame: Term, types: set[str]) -> list[FrameElement]:
         if frame not in self._frames:

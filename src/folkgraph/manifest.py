@@ -32,6 +32,7 @@ from pathlib import Path
 from . import vocab
 from .config import config_pairs
 from .detector import MODES
+from .expansion import trigger_graph_name
 from .lexicon import Lexicon
 from .rdfio import PrefixTable, parse, to_ntriples
 from .store import TripleStore
@@ -242,7 +243,7 @@ def load_trigger_graphs(store: TripleStore, workspace: Path) -> list[Term]:
             continue
         if len(values) > 1:
             raise ManifestError(f"{path}: trigger graph mixes multiple values")
-        name = iri(values.pop().value + "/triggers")
+        name = trigger_graph_name(values.pop())
         store.extend(name, triples)
         names.append(name)
     return names

@@ -51,14 +51,9 @@ class PrefixTable:
         pairs = config_pairs(path, ValueError, "prefix entry")
         return cls({prefix.rstrip(":"): namespace for prefix, namespace in pairs})
 
-    def namespace(self, prefix: str) -> str:
-        try:
-            return self.mapping[prefix]
-        except KeyError:
-            raise KeyError(f"unknown prefix: {prefix!r}") from None
-
     def expand(self, name: str) -> Term:
-        """Turn ``fs:RunRisk`` or ``<http://...>`` or a bare IRI into an IRI term."""
+        """Turn ``fs:RunRisk``, ``<urn:x>`` or ``http://...`` into an IRI term; a prefix
+        not in the table is a ``ValueError`` unless ``//`` follows its colon."""
         name = name.strip()
         if name.startswith("<") and name.endswith(">"):
             return iri(name[1:-1])
@@ -66,17 +61,19 @@ class PrefixTable:
             prefix, local = name.split(":", 1)
             if prefix in self.mapping and not local.startswith("//"):
                 return iri(self.mapping[prefix] + local)
+            if not local.startswith("//"):
+                raise ValueError(f"unknown prefix {prefix!r} in {name!r}")
         return iri(name)
 
     def compact(self, value: str) -> str:
-        """Longest-namespace-match compaction; falls back to the full IRI."""
+        """Longest-namespace-match compaction, else the IRI as ``expand`` reads it back."""
         best = ""
         best_prefix = None
         for prefix, namespace in self.mapping.items():
             if value.startswith(namespace) and len(namespace) > len(best):
                 best, best_prefix = namespace, prefix
         if best_prefix is None:
-            return value
+            return value if ":" not in value or value.split(":", 1)[1].startswith("//") else f"<{value}>"
         return f"{best_prefix}:{value[len(best):]}"
 
     def shorten(self, term: Term) -> str:

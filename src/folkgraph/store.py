@@ -114,9 +114,22 @@ class TripleStore:
     def __len__(self) -> int:
         return sum(len(g) for g in self.graphs.values())
 
-    def all_triples(self):
+    def objects(self, s: Term, p: Term) -> list[Term]:
+        """Objects of (s, p) over every graph, deduplicated and in Term.key
+        order: the bindings of ``match([Pattern(s, p, Variable("o"))])``."""
+        return sorted({t.o for g in self.graphs.values() for t in g.candidates(s, p, None)}, key=Term.key)
+
+    def subjects(self, p: Term, o: Term) -> list[Term]:
+        """Subjects of (p, o) over every graph, like ``objects``."""
+        return sorted({t.s for g in self.graphs.values() for t in g.candidates(None, p, o)}, key=Term.key)
+
+    def objects_by_subject(self, p: Term) -> dict[Term, tuple[Term, ...]]:
+        """Subject -> ``objects(subject, p)`` for every subject of ``p``, as tuples."""
+        objects: dict[Term, set[Term]] = {}
         for graph in self.graphs.values():
-            yield from graph.triples
+            for triple in graph.candidates(None, p, None):
+                objects.setdefault(triple.s, set()).add(triple.o)
+        return {subject: tuple(sorted(found, key=Term.key)) for subject, found in objects.items()}
 
     # -- matching ----------------------------------------------------------
 
@@ -179,16 +192,6 @@ class TripleStore:
             if not bindings:
                 return []
         return _unique_sorted(bindings)
-
-    def ask(self, patterns: list[Pattern]) -> bool:
-        if not patterns:
-            raise StoreError("empty pattern list")
-        bindings: list[Binding] = [{}]
-        for pattern in patterns:
-            bindings = [ext for b in bindings for ext in self.match_pattern(pattern, b)]
-            if not bindings:
-                return False
-        return True
 
 
 def _unique_sorted(bindings: list[Binding]) -> list[Binding]:

@@ -12,7 +12,7 @@ points at the next one registered, the last wrapping around to the first.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import vocab
@@ -104,24 +104,14 @@ class ValueModel:
         except KeyError:
             raise ValueModelError(f"unknown value: {value_id.value}") from None
 
-    def align(self, folk_value: Term, target: Term) -> None:
-        source = self.get(folk_value)
-        target_spec = self.get(target)
-        if source.module != "FOLK":
-            raise ValueModelError(f"{folk_value.value}: only FOLK values are aligned")
-        if target_spec.module not in ("MFT", "BHV"):
-            raise ValueModelError(
-                f"{folk_value.value}: alignment target {target.value} is not MFT or BHV"
-            )
-        if target not in source.aligned_to:
-            self.values[folk_value] = replace(source, aligned_to=source.aligned_to + (target,))
-
     def validate(self) -> None:
         """Cross-value checks that need the full registry."""
         for spec in self.values.values():
             for parent in spec.parents:
                 if parent not in self.values:
                     raise ValueModelError(f"{spec.id.value}: unknown parent {parent.value}")
+            if spec.aligned_to and spec.module != "FOLK":
+                raise ValueModelError(f"{spec.id.value}: only FOLK values are aligned")
             for target in spec.aligned_to:
                 if self.get(target).module not in ("MFT", "BHV"):
                     raise ValueModelError(

@@ -5,8 +5,9 @@ every combination of triples with nested loops, the generators build small
 random graphs with known shape, and ``isomorphic`` compares graphs up to
 blank node relabeling. Nothing in this file imports the
 store's matching code paths beyond the term model, except the reference
-detector, which answers every sense and activation lookup with a store
-pattern match so the detector's lookup tables can be checked against it.
+detector, which answers every sense, activation and stance lookup with a
+store pattern match so the pipeline's one-hop reads and the detector's
+lookup tables can be checked against it.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import re
 from itertools import permutations
 
 from folkgraph import vocab
-from folkgraph.detector import ActivationPath, NodeAnnotation, SentenceGraph
+from folkgraph.detector import ActivationPath, NodeAnnotation, SentenceGraph, StanceJudgment
 from folkgraph.terms import BLANK, Binding, Pattern, Term, Triple, Variable, iri, lit
 
 
@@ -179,9 +180,17 @@ def closure_justification_holds(store, trigger_triples: set[Triple], edge) -> bo
 _WORD = re.compile(r"\w+")
 
 
+def frames_of_sense(store, sense: Term) -> list[Term]:
+    return [b["f"] for b in store.match([Pattern(sense, vocab.EVOKES, Variable("f"))])]
+
+
+def verb_classes_of_sense(store, sense: Term) -> list[Term]:
+    return [b["v"] for b in store.match([Pattern(sense, vocab.SENSE_KEY, Variable("v"))])]
+
+
 def reference_analyze(lexicon, text: str, sentence_id: str, mode: str) -> SentenceGraph:
     """Segment by trying every multiword at every token, longest first; read
-    frames and verb classes with the lexicon's pattern-match sense lookups."""
+    frames and verb classes with pattern-match sense lookups on the lexicon's store."""
     tokens = [(m.start(), m.end(), m.group().lower()) for m in _WORD.finditer(text)]
     units = []
     i = 0
@@ -212,8 +221,8 @@ def reference_analyze(lexicon, text: str, sentence_id: str, mode: str) -> Senten
                     lemma=entry.lemma,
                     pos=entry.pos,
                     sense=sense,
-                    frames=tuple(lexicon.frames_of_sense(sense)),
-                    verb_classes=tuple(lexicon.verb_classes_of_sense(sense)),
+                    frames=tuple(frames_of_sense(lexicon.store, sense)),
+                    verb_classes=tuple(verb_classes_of_sense(lexicon.store, sense)),
                 )
             )
     return SentenceGraph(sentence_id, text, nodes)
@@ -235,6 +244,30 @@ def reference_activation(store, graph: SentenceGraph) -> list[ActivationPath]:
             for b in closure:
                 paths.append(ActivationPath(b["v"], index, (entity, "evokes", b["f"], "triggers", b["v"])))
     return paths
+
+
+def reference_stances(store, graph: SentenceGraph) -> list[StanceJudgment]:
+    """Per verb class, the (role, polarity) BGP join; the target is the nearest
+    earlier noun or multiword node that starts before the verb's node."""
+    judgments = []
+    for index, node in enumerate(graph.nodes):
+        targets = [
+            j
+            for j, other in enumerate(graph.nodes[:index])
+            if other.span[0] < node.span[0] and other.pos in ("noun", "multiword")
+        ]
+        if not targets:
+            continue
+        for verb_class in node.verb_classes:
+            join = store.match(
+                [
+                    Pattern(verb_class, vocab.AFFECT_ROLE, Variable("r")),
+                    Pattern(verb_class, vocab.AFFECT_POLARITY, Variable("p")),
+                ]
+            )
+            for b in join:
+                judgments.append(StanceJudgment(verb_class, b["r"].value, b["p"].value, index, targets[-1]))
+    return judgments
 
 
 # -- isomorphism -------------------------------------------------------------

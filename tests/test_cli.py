@@ -8,7 +8,7 @@ from folkgraph import vocab
 from folkgraph.cli import main
 from folkgraph.rdfio import parse_ntriples
 
-from kb import MINI_CORPUS, MINI_SENTENCES, write_mini_pipeline
+from kb import MINI_CORPUS, MINI_MANIFEST, MINI_PLAN, MINI_SENTENCES, write_mini_pipeline
 
 
 @pytest.fixture(autouse=True)
@@ -153,6 +153,42 @@ def test_expand_single_value(root, manifest, built, capsys):
     assert main(["expand", "--manifest", manifest, "--value", "folk:Risk"]) == 0
     assert (root / "workspace" / "triggers" / "folk_Risk.nt").is_file()
     assert "folk:Risk" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("scope", [["--all"], ["--value", "folk:Risk"]])
+def test_expand_removes_output_of_dropped_plans(root, manifest, built, scope):
+    (root / "plans" / "harm.plan").write_text("value = mft:Harm\nseed = dangerous\nauto = frame\n", encoding="utf-8")
+    with_harm = MINI_MANIFEST.replace("plan = plans/risk.plan\n", "plan = plans/risk.plan\nplan = plans/harm.plan\n")
+    (root / "manifest.cfg").write_text(with_harm, encoding="utf-8")
+    assert main(["expand", "--manifest", manifest, "--all"]) == 0
+    workspace = root / "workspace"
+    assert (workspace / "triggers" / "mft_Harm.nt").is_file()
+    inputs = write_sentences(root / "sentences.jsonl", [("s1", "That is dangerous.")])
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "before")]) == 0
+    assert read_summaries(root / "before")[0]["values"] == ["folk:Risk", "mft:Harm"]
+
+    (root / "manifest.cfg").write_text(MINI_MANIFEST, encoding="utf-8")
+    assert main(["expand", "--manifest", manifest, *scope]) == 0
+    assert sorted(p.name for p in (workspace / "triggers").iterdir()) == ["folk_Risk.nt"]
+    assert sorted(p.name for p in (workspace / "reports").iterdir()) == ["folk_Risk.json"]
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "after")]) == 0
+    assert read_summaries(root / "after")[0]["values"] == ["folk:Risk"]
+
+
+def test_plan_value_with_unknown_prefix_exits_2(root, manifest, built, capsys):
+    (root / "plans" / "risk.plan").write_text(MINI_PLAN.replace("folk:Risk", "flk:Risk"), encoding="utf-8")
+    assert main(["expand", "--manifest", manifest, "--all"]) == 2
+    assert "unknown prefix 'flk'" in capsys.readouterr().err
+
+
+def test_value_outside_prefix_table_reads_back(root, manifest, built):
+    (root / "plans" / "risk.plan").write_text(MINI_PLAN.replace("folk:Risk", "<urn:x:Risk>"), encoding="utf-8")
+    assert main(["expand", "--manifest", manifest, "--all"]) == 0
+    assert (root / "workspace" / "triggers" / "_urn_x_Risk_.nt").is_file()
+    inputs = write_sentences(root / "sentences.jsonl")
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out")]) == 0
+    assert read_summaries(root / "out")[0]["values"] == ["<urn:x:Risk>"]
+    assert main(["eval", "--manifest", manifest, "--detections", str(root / "out" / "summary.jsonl")]) == 0
 
 
 def test_stale_selection_exits_3(root, manifest, built):

@@ -9,7 +9,7 @@ from folkgraph.detector import Detector, DetectorError, StanceJudgment
 from folkgraph.lexicon import Lexicon
 from folkgraph.rdfio import to_ntriples
 from folkgraph.store import TripleStore
-from folkgraph.terms import Pattern, Term, Triple, lit
+from folkgraph.terms import Term, Triple, lit
 from folkgraph.vocab import (
     ACTIVATES,
     AFFECT_POLARITY,
@@ -32,7 +32,7 @@ from folkgraph.vocab import (
     TRIGGERS,
 )
 from kb import LEXICON_GRAPH, pipeline_from_turtle, store_from_turtle, t
-from oracles import random_lexical_kb, reference_activation, reference_analyze
+from oracles import random_lexical_kb, reference_activation, reference_analyze, reference_stances
 
 LEXICAL = """
 lex:dishonest-adjective a fg:LexicalEntry ; fg:lemma "dishonest" ; fg:pos "adjective" ;
@@ -96,9 +96,13 @@ LEAK_SENTENCE = (
 
 
 @pytest.fixture(scope="module")
-def detector():
-    store, lexicon = pipeline_from_turtle(LEXICAL, {"g:triggers-test": TRIGGERS_TTL})
-    return Detector(store, lexicon)
+def pipeline():
+    return pipeline_from_turtle(LEXICAL, {"g:triggers-test": TRIGGERS_TTL})
+
+
+@pytest.fixture(scope="module")
+def detector(pipeline):
+    return Detector(*pipeline)
 
 
 def test_single_adjective_sentence(detector):
@@ -181,12 +185,13 @@ def test_worked_example_stance(detector):
     ]
 
 
-def test_every_chain_link_is_a_store_triple(detector):
+def test_every_chain_link_is_a_store_triple(pipeline, detector):
+    store, _ = pipeline
     result = detector.run(LEAK_SENTENCE, sentence_id="357")
     assert result.paths
     for path in result.paths:
         for link in path.links():
-            assert detector.store.ask([Pattern(link.s, link.p, link.o)]), link
+            assert link.o in store.objects(link.s, link.p), link
 
 
 def test_result_triples_cover_annotations_and_justifications(detector):
@@ -292,8 +297,9 @@ def test_sentence_node_triples_shape(detector):
 
 def _detection_kb(rng: random.Random) -> tuple[TripleStore, list[str]]:
     """random_lexical_kb plus multiwords over its lemmas, inflected forms,
-    stance entries and two overlapping trigger graphs; returns the frozen store
-    and the words and multiword phrases sentences are drawn from."""
+    stance entries (one or two roles and polarities, polarities sometimes in a
+    graph of their own) and two overlapping trigger graphs; returns the frozen
+    store and the words and multiword phrases sentences are drawn from."""
     lexical = random_lexical_kb(rng)
     lemmas = sorted({tr.o.value for tr in lexical if tr.p == LEMMA})
     senses = sorted({tr.o for tr in lexical if tr.p == SENSE}, key=Term.key)
@@ -322,17 +328,21 @@ def _detection_kb(rng: random.Random) -> tuple[TripleStore, list[str]]:
             form = lemma + "s"
             lexical.append(Triple(t(f"lex:{lemma}-verb"), FORM, lit(form)))
             words.append(form)
+    affect = []
     for verb_class in verb_classes:
         if rng.random() < 0.5:
-            lexical += [
-                Triple(verb_class, AFFECT_ROLE, lit("Agent")),
-                Triple(verb_class, AFFECT_POLARITY, lit(rng.choice(["positive", "negative"]))),
-            ]
+            roles = rng.sample(["Agent", "Patient"], k=rng.randint(1, 2))
+            polarities = rng.sample(["positive", "negative"], k=rng.randint(1, 2))
+            lexical += [Triple(verb_class, AFFECT_ROLE, lit(role)) for role in roles]
+            (affect if rng.random() < 0.5 else lexical).extend(
+                Triple(verb_class, AFFECT_POLARITY, lit(polarity)) for polarity in polarities
+            )
     values = [t(f"folk:V{i}") for i in range(3)]
     sources = senses + frames + verb_classes
     triggers = [Triple(rng.choice(sources), TRIGGERS, rng.choice(values)) for _ in range(rng.randint(0, 12))]
     store = TripleStore()
     store.extend(LEXICON_GRAPH, lexical)
+    store.extend(t("g:affect"), affect)
     store.extend(t("g:triggers-a"), triggers[: len(triggers) // 2])
     store.extend(t("g:triggers-b"), triggers[len(triggers) // 3 :])  # overlaps the first graph
     store.freeze()
@@ -355,7 +365,7 @@ def test_tables_match_pattern_match_reference(seed):
             assert graph.nodes == expected.nodes
             result = detector.detect_values(graph)
             assert result.paths == reference_activation(store, expected)
-            assert detector.stance_query(graph) == detector.stance_query(expected)
+            assert detector.stance_query(graph) == reference_stances(store, expected)
 
 
 def test_unfrozen_store_refused():

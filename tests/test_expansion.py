@@ -9,7 +9,6 @@ from folkgraph.expansion import (
     Seed,
     StaleSelectionError,
     parse_plan,
-    trigger_graph_name,
 )
 from folkgraph.lexicon import Lexicon
 from folkgraph.rdfio import to_ntriples
@@ -138,7 +137,6 @@ def test_close_match_expansion(expander):
 
 def test_run_plan_emits_tagged_edges(expander, tmp_path):
     report = expander.run_plan(risk_plan(tmp_path))
-    assert report.graph_name == trigger_graph_name(t("folk:Risk"))
     by_entity = {edge.entity: edge for edge in report.edges}
     assert by_entity[t("fs:RunRisk")].kind == "frame"
     assert by_entity[t("fs:RunRisk")].provenance == "seedSelection"
@@ -173,7 +171,6 @@ def test_run_plan_empty_seeds(expander):
     report = expander.run_plan(ExpansionPlan(value=t("folk:Risk"), seeds=[]))
     assert report.queries == {}
     assert report.edges == []
-    assert report.graph_name is None
 
 
 def test_propose_mode_records_candidates_without_edges(expander):

@@ -80,18 +80,14 @@ def test_multiwords_listed_longest_first(risk):
 
 
 def test_frames_of_sense_matches_bgp(risk):
-    store, lexicon = risk
-    frames = lexicon.frames_of_sense(t("wn:risk-verb-2"))
+    store, _ = risk
+    frames = store.objects(t("wn:risk-verb-2"), t("fg:evokes"))
     assert t("fs:RunRisk") in frames
     bgp = store.match([Pattern(t("wn:risk-verb-2"), t("fg:evokes"), Variable("f"))])
     assert frames == [b["f"] for b in bgp]
-    assert lexicon.frames_of_sense(t("wn:act_of_dishonesty-noun-1")) == []
-
-
-def test_verb_classes_of_sense(risk):
-    _, lexicon = risk
-    assert lexicon.verb_classes_of_sense(t("wn:risk-verb-2")) == [t("vn:Risk_94000000")]
-    assert lexicon.verb_classes_of_sense(t("wn:risk-noun-1")) == []
+    assert store.objects(t("wn:act_of_dishonesty-noun-1"), t("fg:evokes")) == []
+    assert store.objects(t("wn:risk-verb-2"), t("fg:senseKey")) == [t("vn:Risk_94000000")]
+    assert store.objects(t("wn:risk-noun-1"), t("fg:senseKey")) == []
 
 
 def test_frame_elements_filter_and_partition(risk):

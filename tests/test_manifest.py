@@ -16,7 +16,7 @@ from folkgraph.manifest import (
     workspace_dir,
 )
 from folkgraph.rdfio import ParseError, to_ntriples
-from folkgraph.terms import Pattern, Triple
+from folkgraph.terms import Triple
 from folkgraph.vocab import PREFIXES
 
 from kb import MINI_MANIFEST, write_mini_pipeline
@@ -180,7 +180,7 @@ def test_workspace_round_trip(manifest_path):
     store.freeze()
     entry = lexicon.lookup_lemma("risk", "verb")[0]
     assert entry.lemma == "risk"
-    assert store.ask([Pattern(PREFIXES.expand("folk:Risk"), vocab.RDF_TYPE, vocab.VALUE)])
+    assert store.objects(PREFIXES.expand("folk:Risk"), vocab.RDF_TYPE) == [vocab.VALUE]
     assert meta == read_meta(workspace)
 
 
@@ -210,7 +210,7 @@ def test_load_trigger_graphs_recovers_names(manifest_path):
     names = load_trigger_graphs(store, workspace)
     assert names == [PREFIXES.expand("folk:Risk/triggers")]
     store.freeze()
-    assert store.ask([Pattern(sense, vocab.TRIGGERS, risk)])
+    assert store.objects(sense, vocab.TRIGGERS) == [risk]
 
 
 def test_load_trigger_graphs_rejects_mixed_values(manifest_path):

@@ -184,15 +184,25 @@ def test_prefix_table_expand_and_compact(tmp_path):
     assert table.expand("ex:thing") == iri(EX + "thing")
     assert table.expand(f"<{EX}thing>") == iri(EX + "thing")
     assert table.compact(EX + "thing") == "ex:thing"
-    assert table.compact("urn:elsewhere") == "urn:elsewhere"
-    with pytest.raises(KeyError):
-        table.namespace("nope")
+    assert table.compact("urn:elsewhere") == "<urn:elsewhere>"
+    assert table.expand("http://elsewhere.org/x") == iri("http://elsewhere.org/x")
+    assert table.expand("<urn:elsewhere>") == iri("urn:elsewhere")
+    for value in (EX + "thing", "urn:elsewhere", "http://elsewhere.org/x", "ex:thing", "plain"):
+        assert table.expand(table.compact(value)) == iri(value)
+
+
+def test_prefix_table_rejects_unknown_prefix():
+    table = PrefixTable({"folk": "http://example.org/folk/"})
+    with pytest.raises(ValueError, match="unknown prefix 'flk'"):
+        table.expand("flk:Risk")
+    with pytest.raises(ValueError, match="unknown prefix 'urn'"):
+        table.expand("urn:elsewhere")
 
 
 def test_shipped_prefix_table_keeps_hash_namespaces():
     fixtures = Path(__file__).resolve().parent.parent / "fixtures"
     table = PrefixTable.from_file(fixtures / "prefixes.cfg")
-    assert table.namespace("rdf") == "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
+    assert table.mapping["rdf"] == "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
     assert table.expand("rdf:type") == iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
     assert table.compact("http://www.w3.org/2002/07/owl#sameAs") == "owl:sameAs"
 

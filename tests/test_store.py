@@ -101,10 +101,27 @@ def test_bindings_sorted_and_deduplicated():
     assert len(keys) == len(set(keys))
 
 
-def test_ask_short_circuits():
-    store = build(t("s", "p", "o"))
-    assert store.ask([Pattern(iri(EX + "s"), v("p"), v("o"))])
-    assert not store.ask([Pattern(iri(EX + "absent"), v("p"), v("o"))])
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_one_hop_reads_agree_with_brute_force(seed):
+    rng = random.Random(seed)
+    graphs = random_graphs(rng, n_graphs=rng.randint(1, 3), n_triples=rng.randint(1, 12))
+    store = TripleStore()
+    for name, triples in graphs.items():
+        store.extend(name, triples)
+    store.freeze()
+    absent = iri(EX + "absent")
+    present = sorted((tr for g in graphs.values() for tr in g), key=Triple.key)
+    probes = [rng.choice(present), Triple(absent, absent, absent)]
+    for probe in probes:
+        objects = brute_force_match(graphs, [Pattern(probe.s, probe.p, v("o"))])
+        assert store.objects(probe.s, probe.p) == [b["o"] for b in objects]
+        subjects = brute_force_match(graphs, [Pattern(v("s"), probe.p, probe.o)])
+        assert store.subjects(probe.p, probe.o) == [b["s"] for b in subjects]
+        expected: dict = {}
+        for b in brute_force_match(graphs, [Pattern(v("s"), probe.p, v("o"))]):
+            expected.setdefault(b["s"], []).append(b["o"])
+        assert {s: list(o) for s, o in store.objects_by_subject(probe.p).items()} == expected
 
 
 @st.composite

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from folkgraph import vocab
@@ -10,6 +12,7 @@ from folkgraph.values import (
     ValueModelError,
     build_model,
     dedupe_candidates,
+    load_value_manifest,
     value_id_for_label,
 )
 from kb import lexicon_from_turtle, t
@@ -75,17 +78,24 @@ def test_forward_parent_reference_allowed():
     model.validate()
 
 
-def test_align_records_edge_once():
-    model = build_model(mft_pair() + [folk("folk:Rigor")])
-    model.align(t("folk:Rigor"), t("mft:Loyalty"))
-    model.align(t("folk:Rigor"), t("mft:Loyalty"))
-    assert model.get(t("folk:Rigor")).aligned_to == (t("mft:Loyalty"),)
-
-
 def test_align_rejects_folk_target():
-    model = build_model([folk("folk:Risk"), folk("folk:Winning")])
+    risk = replace(folk("folk:Risk"), aligned_to=(t("folk:Winning"),))
     with pytest.raises(ValueModelError, match="not MFT or BHV"):
-        model.align(t("folk:Risk"), t("folk:Winning"))
+        build_model([risk, folk("folk:Winning")])
+
+
+def test_only_folk_values_carry_alignments(tmp_path):
+    csv_path = tmp_path / "values.csv"
+    csv_path.write_text(
+        "id,module,polarity,dyadPartner,parents,provenanceUrls,alignments\n"
+        "mft:Care,MFT,positive,mft:Harm,,,bhv:Security\n"
+        "mft:Harm,MFT,negative,mft:Care,,,\n"
+        "bhv:Security,BHV,,,,,\n",
+        encoding="utf-8",
+    )
+    specs = load_value_manifest(csv_path, vocab.PREFIXES)
+    with pytest.raises(ValueModelError, match="only FOLK values are aligned"):
+        build_model(specs)
 
 
 def test_punned_triples_emitted():
