@@ -1,7 +1,10 @@
 """Command-line pipeline: build-kb, expand, detect, eval.
 
 Commands communicate through the workspace directory only, so each run is
-reproducible from the manifest plus fixture files. Exit codes: 0 on success,
+reproducible from the manifest plus fixture files. ``detect`` builds its
+detector once; with ``--jobs N`` the worker processes receive it at start-up,
+each writes the graph files of its sentences, and the parent writes
+``summary.jsonl`` in input order as results arrive. Exit codes: 0 on success,
 2 for input or configuration problems, 3 for data-consistency problems
 (stale selection files, corpus/detection mismatches, duplicate ids or ids
 that share an output file name).
@@ -13,6 +16,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from pathlib import Path
 
 from .detector import Detector, DetectorError
@@ -31,7 +35,6 @@ from .evaluation import (
 from .expansion import Expander, PlanError, StaleSelectionError, parse_plan
 from .lexicon import LexiconError
 from .manifest import (
-    Manifest,
     ManifestError,
     build_workspace,
     load_manifest,
@@ -40,7 +43,7 @@ from .manifest import (
     safe_name,
     workspace_dir,
 )
-from .rdfio import ParseError, to_ntriples
+from .rdfio import ParseError, PrefixTable, to_ntriples
 from .store import StoreError
 from .values import ValueModelError
 
@@ -141,60 +144,53 @@ def _read_sentences(path: Path) -> list[tuple[str, str]]:
     return pairs
 
 
-def _build_detector(manifest: Manifest, workspace: Path) -> Detector:
-    store, lexicon, _ = load_workspace(workspace)
-    load_trigger_graphs(store, workspace)
-    store.freeze()
-    return Detector(store, lexicon, manifest.detector_mode)
+# The detector, prefix table and output directory of the running detect command.
+# --jobs workers receive them as initargs: inherited under fork, pickled otherwise.
+_detect_context: tuple[Detector, PrefixTable, Path] | None = None
 
 
-_worker_detector: Detector | None = None
-_worker_manifest: Manifest | None = None
+def _set_detect_context(detector: Detector, prefixes: PrefixTable, out_dir: Path) -> None:
+    global _detect_context
+    _detect_context = (detector, prefixes, out_dir)
 
 
-def _worker_init(manifest_path: str) -> None:
-    global _worker_detector, _worker_manifest
-    _worker_manifest = load_manifest(manifest_path)
-    _worker_detector = _build_detector(_worker_manifest, workspace_dir(manifest_path))
-
-
-def _detect_one(detector: Detector, manifest: Manifest, item: tuple[str, str]) -> tuple[str, str, str | None]:
+def _detect_one(item: tuple[str, str]) -> tuple[str, bool]:
+    """Detect one sentence and write its graph file, if it has a graph; return
+    its summary line and whether it had one."""
+    detector, prefixes, out_dir = _detect_context
     sentence_id, text = item
     result = detector.run(text, sentence_id)
-    graph_nt = None if result.graph.no_graph else to_ntriples(result.triples())
-    return sentence_id, result.summary_line(manifest.prefixes), graph_nt
-
-
-def _worker_run(item: tuple[str, str]) -> tuple[str, str, str | None]:
-    assert _worker_detector is not None and _worker_manifest is not None
-    return _detect_one(_worker_detector, _worker_manifest, item)
+    has_graph = not result.graph.no_graph
+    if has_graph:
+        (out_dir / f"{safe_name(sentence_id)}.nt").write_text(to_ntriples(result.triples()), encoding="utf-8")
+    return result.summary_line(prefixes), has_graph
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     workspace = workspace_dir(args.manifest)
     sentences = _read_sentences(Path(args.input))
+    store, lexicon, _ = load_workspace(workspace)
+    load_trigger_graphs(store, workspace)
+    store.freeze()
     out_dir = Path(args.out)
+    context = (Detector(store, lexicon, manifest.detector_mode), manifest.prefixes, out_dir)
+    _set_detect_context(*context)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if args.jobs > 1 and sentences:
-        chunk = max(1, len(sentences) // (args.jobs * 4))
-        with ProcessPoolExecutor(
-            max_workers=args.jobs, initializer=_worker_init, initargs=(str(args.manifest),)
-        ) as pool:
-            results = list(pool.map(_worker_run, sentences, chunksize=chunk))
-    else:
-        detector = _build_detector(manifest, workspace)
-        results = [_detect_one(detector, manifest, item) for item in sentences]
-
     graphs = 0
-    with (out_dir / "summary.jsonl").open("w", encoding="utf-8") as summary:
-        for sentence_id, line, graph_nt in results:
+    with ExitStack() as stack:
+        results = map(_detect_one, sentences)
+        if args.jobs > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_detect_context, initargs=context)
+            )
+            results = pool.map(_detect_one, sentences, chunksize=max(1, len(sentences) // (args.jobs * 4)))
+        summary = stack.enter_context((out_dir / "summary.jsonl").open("w", encoding="utf-8"))
+        for line, has_graph in results:  # in input order, written as results arrive
             summary.write(line + "\n")
-            if graph_nt is not None:
-                graphs += 1
-                (out_dir / f"{safe_name(sentence_id)}.nt").write_text(graph_nt, encoding="utf-8")
-    print(f"sentences: {len(results)}  graphs: {graphs}  noGraph: {len(results) - graphs}")
+            graphs += has_graph
+    print(f"sentences: {len(sentences)}  graphs: {graphs}  noGraph: {len(sentences) - graphs}")
     return EXIT_OK
 
 
@@ -206,8 +202,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ManifestError(f"{manifest.path}: eval needs a labelMap entry in the manifest")
     workspace = workspace_dir(args.manifest)
     label_map = load_label_map(manifest.label_map, manifest.prefixes)
-    fmt = "jsonl" if manifest.corpus.suffix == ".jsonl" else "csv"
-    load = load_corpus(manifest.corpus, fmt, label_map)
+    load = load_corpus(manifest.corpus, label_map)
     for line, reason in load.skipped:
         print(f"skipped corpus row at line {line}: {reason}", file=sys.stderr)
 

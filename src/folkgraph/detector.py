@@ -222,19 +222,16 @@ class Detector:
                 return n
         return 0
 
-    def analyze(self, text: str, sentence_id: str = "s", mode: str | None = None) -> SentenceGraph:
+    def analyze(self, text: str, sentence_id: str = "s") -> SentenceGraph:
         if not text:
             raise DetectorError("empty sentence text")
-        mode = self.mode if mode is None else mode
-        if mode not in MODES:
-            raise DetectorError(f"unknown detector mode: {mode!r}")
         node_prefix = f"{vocab.NAMESPACES['sent']}{quote(sentence_id, safe='')}/n"
         nodes: list[NodeAnnotation] = []
         for start, end, surface in self._segment(text):
             entries = self.lexicon.lookup_form(surface)
             if not entries:
                 continue
-            if mode == "firstSense":
+            if self.mode == "firstSense":
                 picks = [(entries[0], entries[0].default_sense)]
             else:
                 picks = [(entry, sense) for entry in entries for sense in entry.senses]

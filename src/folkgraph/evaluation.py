@@ -105,7 +105,7 @@ def load_label_map(path: str | Path, prefixes: PrefixTable) -> dict[str, Term]:
     for label, name in config_pairs(path, EvalError, "label map entry"):
         if not label or not name:
             raise EvalError(f"{path}: malformed label map entry: {label} = {name}")
-        mapping[label] = prefixes.expand(name)
+        mapping[label] = prefixes.expand(name, path)
     return mapping
 
 
@@ -161,12 +161,10 @@ def _build_row(
     load.rows.append(row)
 
 
-def load_corpus(path: str | Path, fmt: str, label_map: dict[str, Term]) -> CorpusLoad:
-    if fmt == "csv":
-        return _load_csv(Path(path), label_map)
-    if fmt == "jsonl":
-        return _load_jsonl(Path(path), label_map)
-    raise EvalError(f"unknown corpus format: {fmt!r}")
+def load_corpus(path: str | Path, label_map: dict[str, Term]) -> CorpusLoad:
+    """A ``.jsonl`` corpus is JSON lines; any other suffix is CSV."""
+    path = Path(path)
+    return _load_jsonl(path, label_map) if path.suffix == ".jsonl" else _load_csv(path, label_map)
 
 
 def _load_csv(path: Path, label_map: dict[str, Term]) -> CorpusLoad:

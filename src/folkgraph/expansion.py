@@ -115,7 +115,7 @@ def trigger_graph_name(value: Term) -> Term:
 
 
 def parse_selection(path: Path, prefixes: PrefixTable) -> list[Term]:
-    return [prefixes.expand(line) for line in config_lines(path)]
+    return [prefixes.expand(line, path) for line in config_lines(path)]
 
 
 def parse_plan(path: str | Path, prefixes: PrefixTable) -> ExpansionPlan:
@@ -127,7 +127,7 @@ def parse_plan(path: str | Path, prefixes: PrefixTable) -> ExpansionPlan:
     auto: set[str] = set()
     for key, rest in config_pairs(path, PlanError, "plan line"):
         if key == "value":
-            value = prefixes.expand(rest)
+            value = prefixes.expand(rest, path)
         elif key == "seed":
             lemma, _, pos = (part.strip() for part in rest.partition("|"))
             seeds.append(Seed(lemma, pos or None))

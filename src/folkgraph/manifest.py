@@ -116,7 +116,7 @@ def load_manifest(path: str | Path) -> Manifest:
             raise ManifestError(f"{path}: unknown graph format {fmt!r}")
         if role not in GRAPH_ROLES:
             raise ManifestError(f"{path}: unknown graph role {role!r}")
-        term = prefixes.expand(name)
+        term = prefixes.expand(name, path)
         if term in seen_names:
             raise ManifestError(f"{path}: duplicate graph name {name!r}")
         seen_names.add(term)

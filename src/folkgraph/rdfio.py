@@ -51,9 +51,10 @@ class PrefixTable:
         pairs = config_pairs(path, ValueError, "prefix entry")
         return cls({prefix.rstrip(":"): namespace for prefix, namespace in pairs})
 
-    def expand(self, name: str) -> Term:
+    def expand(self, name: str, source: str | Path | None = None) -> Term:
         """Turn ``fs:RunRisk``, ``<urn:x>`` or ``http://...`` into an IRI term; a prefix
-        not in the table is a ``ValueError`` unless ``//`` follows its colon."""
+        not in the table is a ``ValueError``, naming the ``source`` file if given,
+        unless ``//`` follows its colon."""
         name = name.strip()
         if name.startswith("<") and name.endswith(">"):
             return iri(name[1:-1])
@@ -62,7 +63,8 @@ class PrefixTable:
             if prefix in self.mapping and not local.startswith("//"):
                 return iri(self.mapping[prefix] + local)
             if not local.startswith("//"):
-                raise ValueError(f"unknown prefix {prefix!r} in {name!r}")
+                where = f"{source}: " if source is not None else ""
+                raise ValueError(f"{where}unknown prefix {prefix!r} in {name!r}")
         return iri(name)
 
     def compact(self, value: str) -> str:

@@ -155,8 +155,8 @@ class ValueModel:
 MANIFEST_COLUMNS = ["id", "module", "polarity", "dyadPartner", "parents", "provenanceUrls", "alignments"]
 
 
-def _split_terms(cell: str, prefixes: PrefixTable) -> tuple[Term, ...]:
-    return tuple(prefixes.expand(part) for part in cell.split("|") if part)
+def _split_terms(cell: str, prefixes: PrefixTable, path: str | Path) -> tuple[Term, ...]:
+    return tuple(prefixes.expand(part, path) for part in cell.split("|") if part)
 
 
 def load_value_manifest(path: str | Path, prefixes: PrefixTable) -> list[ValueConcept]:
@@ -168,13 +168,13 @@ def load_value_manifest(path: str | Path, prefixes: PrefixTable) -> list[ValueCo
         for row in reader:
             specs.append(
                 ValueConcept(
-                    id=prefixes.expand(row["id"]),
+                    id=prefixes.expand(row["id"], path),
                     module=row["module"],
                     polarity=row["polarity"] or "unpolarized",
-                    dyad_partner=prefixes.expand(row["dyadPartner"]) if row["dyadPartner"] else None,
-                    parents=_split_terms(row["parents"], prefixes),
-                    provenance_urls=_split_terms(row["provenanceUrls"], prefixes),
-                    aligned_to=_split_terms(row["alignments"], prefixes),
+                    dyad_partner=prefixes.expand(row["dyadPartner"], path) if row["dyadPartner"] else None,
+                    parents=_split_terms(row["parents"], prefixes, path),
+                    provenance_urls=_split_terms(row["provenanceUrls"], prefixes, path),
+                    aligned_to=_split_terms(row["alignments"], prefixes, path),
                 )
             )
     return specs

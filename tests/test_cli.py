@@ -1,10 +1,11 @@
 """End-to-end pipeline runs through the command-line entry point."""
 
 import json
+import os
 
 import pytest
 
-from folkgraph import vocab
+from folkgraph import cli, vocab
 from folkgraph.cli import main
 from folkgraph.rdfio import parse_ntriples
 
@@ -125,8 +126,26 @@ def test_parallel_detect_matches_serial(root, manifest, built):
         ["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "parallel", ), "--jobs", "2"]
     )
     assert code == 0
-    assert (root / "serial" / "summary.jsonl").read_bytes() == (root / "parallel" / "summary.jsonl").read_bytes()
-    assert (root / "serial" / "s1.nt").read_bytes() == (root / "parallel" / "s1.nt").read_bytes()
+    serial = sorted(p.name for p in (root / "serial").iterdir())
+    assert serial == sorted(p.name for p in (root / "parallel").iterdir())
+    assert serial == ["s1.nt", "s3.nt", "s4.nt", "summary.jsonl"]
+    for name in serial:
+        assert (root / "serial" / name).read_bytes() == (root / "parallel" / name).read_bytes()
+
+
+def test_parallel_detect_sets_up_once_in_the_parent(root, manifest, built, monkeypatch):
+    log = root / "load_workspace.log"
+    original = cli.load_workspace
+
+    def logged(workspace):
+        with log.open("a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return original(workspace)
+
+    monkeypatch.setattr(cli, "load_workspace", logged)
+    inputs = write_sentences(root / "sentences.jsonl")
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out"), "--jobs", "2"]) == 0
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -143,6 +162,14 @@ def test_missing_graph_file_exits_2(root, manifest):
 
 def test_expand_before_build_exits_2(root, manifest):
     assert main(["expand", "--manifest", manifest, "--all"]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_detect_before_build_exits_2(root, manifest, jobs, capsys):
+    inputs = write_sentences(root / "sentences.jsonl")
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out"), "--jobs", jobs]) == 2
+    assert "workspace not built" in capsys.readouterr().err
+    assert not (root / "out").exists()
 
 
 def test_expand_unknown_value_exits_2(built, manifest):
@@ -179,6 +206,25 @@ def test_plan_value_with_unknown_prefix_exits_2(root, manifest, built, capsys):
     (root / "plans" / "risk.plan").write_text(MINI_PLAN.replace("folk:Risk", "flk:Risk"), encoding="utf-8")
     assert main(["expand", "--manifest", manifest, "--all"]) == 2
     assert "unknown prefix 'flk'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "rel, old, new, command",
+    [
+        ("plans/risk.plan", "folk:Risk", "flk:Risk", ["expand", "--all"]),
+        ("plans/selections/concepts.txt", "cn:venture", "cnx:venture", ["expand", "--all"]),
+        ("values.csv", "wikt:risky", "wkt:risky", ["build-kb"]),
+        ("labels.cfg", "folk:Risk", "flk:Risk", ["eval"]),
+        ("manifest.cfg", "g:lexicon", "gx:lexicon", ["build-kb"]),
+    ],
+)
+def test_unknown_prefix_error_names_its_file(root, manifest, built, capsys, rel, old, new, command):
+    path = root / rel
+    path.write_text(path.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    capsys.readouterr()
+    assert main([command[0], "--manifest", manifest, *command[1:]]) == 2
+    prefix = new.split(":")[0]
+    assert capsys.readouterr().err == f"error: {path}: unknown prefix {prefix!r} in {new!r}\n"
 
 
 def test_value_outside_prefix_table_reads_back(root, manifest, built):

@@ -137,9 +137,9 @@ def test_empty_text_rejected(detector):
         detector.analyze("")
 
 
-def test_unknown_mode_rejected(detector):
+def test_unknown_mode_rejected(pipeline):
     with pytest.raises(DetectorError, match="mode"):
-        detector.analyze("anything", mode="bestSense")
+        Detector(*pipeline, mode="bestSense")
 
 
 def test_unlexicalized_text_flags_no_graph(detector):
@@ -231,17 +231,19 @@ def test_no_verbs_means_no_stances(detector):
     assert detector.stance_query(graph) == []
 
 
-def test_all_senses_is_superset_of_first_sense(detector):
+def test_all_senses_is_superset_of_first_sense(pipeline):
+    first_sense = Detector(*pipeline, mode="firstSense")
+    all_senses = Detector(*pipeline, mode="allSenses")
     for text in (LEAK_SENTENCE, "the course is dangerous", "act of dishonesty"):
-        first = detector.detect_values(detector.analyze(text, mode="firstSense"))
-        every = detector.detect_values(detector.analyze(text, mode="allSenses"))
+        first = first_sense.detect_values(first_sense.analyze(text))
+        every = all_senses.detect_values(all_senses.analyze(text))
         assert set(first.values) <= set(every.values)
 
 
-def test_first_sense_one_node_per_unit(detector):
-    graph = detector.analyze("course course", mode="firstSense")
+def test_first_sense_one_node_per_unit(pipeline):
+    graph = Detector(*pipeline, mode="firstSense").analyze("course course")
     assert len(graph.nodes) == 2
-    graph_all = detector.analyze("course course", mode="allSenses")
+    graph_all = Detector(*pipeline, mode="allSenses").analyze("course course")
     assert len(graph_all.nodes) == 4
     assert {n.sense for n in graph_all.nodes} == {t("wn:course-noun-1"), t("wn:course-noun-2")}
 
@@ -355,12 +357,12 @@ def test_tables_match_pattern_match_reference(seed):
     rng = random.Random(seed)
     store, words = _detection_kb(rng)
     lexicon = Lexicon(store, [LEXICON_GRAPH])
-    detector = Detector(store, lexicon)
+    detectors = {mode: Detector(store, lexicon, mode) for mode in ("firstSense", "allSenses")}
     for k in range(4):
         tokens = [rng.choice(words) for _ in range(rng.randint(1, 12))]
         text = " ".join(w.upper() if rng.random() < 0.1 else w for w in tokens) + "."
-        for mode in ("firstSense", "allSenses"):
-            graph = detector.analyze(text, f"h{k}", mode)
+        for mode, detector in detectors.items():
+            graph = detector.analyze(text, f"h{k}")
             expected = reference_analyze(lexicon, text, f"h{k}", mode)
             assert graph.nodes == expected.nodes
             result = detector.detect_values(graph)

@@ -103,7 +103,7 @@ def test_load_csv_corpus(tmp_path):
         "s1,a risky move,A1,Thin Morality,Somewhat Confident\n"
         "s2,plain talk,A0,Non-Moral,Not Confident\n"
     )
-    load = load_corpus(corpus, "csv", LABEL_MAP)
+    load = load_corpus(corpus, LABEL_MAP)
     assert load.skipped == []
     assert [r.sentence_id for r in load.rows] == ["s1", "s1", "s2"]
     assert load.rows[0].labels == frozenset({t("folk:Risk"), t("mft:Care")})
@@ -122,7 +122,7 @@ def test_malformed_rows_skipped_with_line_numbers(tmp_path):
         "s4,x,A2,Care|Non-Moral,Confident\n"
         "s5,x,,Care,Confident\n"
     )
-    load = load_corpus(corpus, "csv", LABEL_MAP)
+    load = load_corpus(corpus, LABEL_MAP)
     assert len(load.rows) == 1
     assert [line for line, _ in load.skipped] == [3, 4, 5, 6]
 
@@ -131,13 +131,13 @@ def test_unknown_label_is_a_hard_error(tmp_path):
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("id,text,annotator,labels,confidence\ns1,x,A0,Bravery,Confident\n")
     with pytest.raises(EvalError, match="unknown label: 'Bravery'"):
-        load_corpus(corpus, "csv", LABEL_MAP)
+        load_corpus(corpus, LABEL_MAP)
 
 
 def test_header_only_csv_is_empty(tmp_path):
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("id,text,annotator,labels,confidence\n")
-    load = load_corpus(corpus, "csv", LABEL_MAP)
+    load = load_corpus(corpus, LABEL_MAP)
     assert load.rows == [] and load.skipped == []
 
 
@@ -145,7 +145,7 @@ def test_bad_header_rejected(tmp_path):
     corpus = tmp_path / "corpus.csv"
     corpus.write_text("id,annotator,labels\n")
     with pytest.raises(EvalError, match="expected header"):
-        load_corpus(corpus, "csv", LABEL_MAP)
+        load_corpus(corpus, LABEL_MAP)
 
 
 def test_load_jsonl_corpus(tmp_path):
@@ -157,9 +157,15 @@ def test_load_jsonl_corpus(tmp_path):
         + json.dumps({"id": "s2", "text": "y", "annotator": "A1", "labels": ["Non-Moral"], "confidence": "Not Confident"})
         + "\n"
     )
-    load = load_corpus(corpus, "jsonl", LABEL_MAP)
+    load = load_corpus(corpus, LABEL_MAP)
     assert [r.sentence_id for r in load.rows] == ["s1", "s2"]
     assert [line for line, _ in load.skipped] == [2]
+
+
+def test_corpus_format_follows_suffix(tmp_path):
+    corpus = tmp_path / "corpus.txt"
+    corpus.write_text("id,text,annotator,labels,confidence\ns1,x,A0,Care,Confident\n")
+    assert [r.sentence_id for r in load_corpus(corpus, LABEL_MAP).rows] == ["s1"]
 
 
 def test_label_map_file(tmp_path):
