@@ -1,10 +1,12 @@
 """Command-line pipeline: build-kb, expand, detect, eval.
 
 Commands communicate through the workspace directory only, so each run is
-reproducible from the manifest plus fixture files. ``detect`` builds its
-detector once; with ``--jobs N`` the worker processes receive it at start-up,
-each writes the graph files of its sentences, and the parent writes
-``summary.jsonl`` in input order as results arrive. Exit codes: 0 on success,
+reproducible from the manifest plus fixture files. ``detect`` opens its
+detector once (``open_detector``: the workspace's snapshot when it matches,
+else built from the graph files); with ``--jobs N`` the worker processes
+receive it at start-up, forked where the platform can fork, each writes the
+graph files of its sentences, and the parent writes ``summary.jsonl`` in
+input order as results arrive. Exit codes: 0 on success,
 2 for input or configuration problems, 3 for data-consistency problems
 (stale selection files, corpus/detection mismatches, duplicate ids or ids
 that share an output file name).
@@ -14,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import multiprocessing
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -38,8 +41,8 @@ from .manifest import (
     ManifestError,
     build_workspace,
     load_manifest,
-    load_trigger_graphs,
     load_workspace,
+    open_detector,
     safe_name,
     workspace_dir,
 )
@@ -145,7 +148,8 @@ def _read_sentences(path: Path) -> list[tuple[str, str]]:
 
 
 # The detector, prefix table and output directory of the running detect command.
-# --jobs workers receive them as initargs: inherited under fork, pickled otherwise.
+# --jobs workers receive them as initargs: inherited under fork, pickled otherwise,
+# which costs seconds for a large knowledge base, so workers fork where they can.
 _detect_context: tuple[Detector, PrefixTable, Path] | None = None
 
 
@@ -170,11 +174,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     workspace = workspace_dir(args.manifest)
     sentences = _read_sentences(Path(args.input))
-    store, lexicon, _ = load_workspace(workspace)
-    load_trigger_graphs(store, workspace)
-    store.freeze()
     out_dir = Path(args.out)
-    context = (Detector(store, lexicon, manifest.detector_mode), manifest.prefixes, out_dir)
+    context = (open_detector(workspace, manifest.detector_mode), manifest.prefixes, out_dir)
     _set_detect_context(*context)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -182,8 +183,11 @@ def cmd_detect(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         results = map(_detect_one, sentences)
         if args.jobs > 1:
+            fork = multiprocessing.get_context("fork") if "fork" in multiprocessing.get_all_start_methods() else None
             pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=args.jobs, initializer=_set_detect_context, initargs=context)
+                ProcessPoolExecutor(
+                    max_workers=args.jobs, mp_context=fork, initializer=_set_detect_context, initargs=context
+                )
             )
             results = pool.map(_detect_one, sentences, chunksize=max(1, len(sentences) // (args.jobs * 4)))
         summary = stack.enter_context((out_dir / "summary.jsonl").open("w", encoding="utf-8"))
@@ -231,6 +235,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="folkgraph",
@@ -250,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     detect = commands.add_parser("detect", help="annotate sentences and detect value activations")
     detect.add_argument("--input", required=True, help="sentences file (.jsonl with id/text, else one per line)")
     detect.add_argument("--out", required=True, help="output directory for graphs and summary.jsonl")
-    detect.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    detect.add_argument("--jobs", type=_positive_int, default=1, help="parallel worker processes (at least 1)")
     detect.set_defaults(func=cmd_detect)
 
     evaluate = commands.add_parser("eval", help="corpus statistics and detection coverage")

@@ -7,7 +7,10 @@ lemma, part of speech, and sense. Frames, verb classes, activation and
 stance are table lookups: the detector needs a frozen store and, once at
 construction, collects its ``evokes``, ``senseKey``, ``triggers``,
 ``affectRole`` and ``affectPolarity`` edges into tables that give the same
-objects, in the same order, as a pattern match would.
+objects, in the same order, as a pattern match would (``lookup_tables``).
+``Detector.from_tables`` takes those tables ready made instead, as the
+workspace's detector snapshot supplies them, and ``merge_tables`` adds the
+tables of further graphs, such as the trigger graphs, to them.
 
 Node IRIs are ``sent:<id>/n<index>`` with the sentence id percent-encoded
 (RFC 3986), so every id yields an IRI the N-Triples reader accepts.
@@ -38,6 +41,13 @@ from .store import TripleStore
 from .terms import Term, Triple, iri, lit
 
 MODES = ("firstSense", "allSenses")
+TABLE_PREDICATES = {
+    "evokes": vocab.EVOKES,
+    "senseKey": vocab.SENSE_KEY,
+    "triggers": vocab.TRIGGERS,
+    "affectRole": vocab.AFFECT_ROLE,
+    "affectPolarity": vocab.AFFECT_POLARITY,
+}
 
 _WORD = re.compile(r"\w+")
 _CHAIN_PREDICATES = {"evokes": vocab.EVOKES, "triggers": vocab.TRIGGERS}
@@ -46,6 +56,23 @@ _STANCE_TARGET_POS = {"noun", "multiword"}
 
 class DetectorError(ValueError):
     pass
+
+
+Tables = dict[str, dict[Term, tuple[Term, ...]]]
+
+
+def lookup_tables(store: TripleStore) -> Tables:
+    """Subject -> objects in Term.key order, for each ``TABLE_PREDICATES`` name."""
+    return {name: store.objects_by_subject(predicate) for name, predicate in TABLE_PREDICATES.items()}
+
+
+def merge_tables(tables: Tables, extra: Tables) -> None:
+    """Add ``extra`` into ``tables`` in place: the tables of the union of both stores."""
+    for name, rows in extra.items():
+        into = tables[name]
+        for subject, objects in rows.items():
+            have = into.get(subject)
+            into[subject] = objects if have is None else tuple(sorted({*have, *objects}, key=Term.key))
 
 
 @dataclass(frozen=True)
@@ -182,21 +209,31 @@ class Detector:
     """Read-only lookup tables and lexicon; one instance serves many sentences."""
 
     def __init__(self, store: TripleStore, lexicon: Lexicon, mode: str = "firstSense"):
-        if mode not in MODES:
-            raise DetectorError(f"unknown detector mode: {mode!r}")
         if not store.frozen:
             raise DetectorError("detector needs a frozen store")
+        self._use(lexicon, mode, lookup_tables(store))
+
+    @classmethod
+    def from_tables(cls, lexicon: Lexicon, tables: Tables, mode: str = "firstSense") -> "Detector":
+        """A detector over ready-made tables, as ``lookup_tables`` returns them."""
+        detector = cls.__new__(cls)
+        detector._use(lexicon, mode, tables)
+        return detector
+
+    def _use(self, lexicon: Lexicon, mode: str, tables: Tables) -> None:
+        if mode not in MODES:
+            raise DetectorError(f"unknown detector mode: {mode!r}")
         self.lexicon = lexicon
         self.mode = mode
         # Multiwords by first token, each list longest first like lexicon.multiwords().
         self._multiwords: dict[str, list[tuple[str, ...]]] = {}
         for words in lexicon.multiwords():
             self._multiwords.setdefault(words[0], []).append(words)
-        self._evokes = store.objects_by_subject(vocab.EVOKES)
-        self._sense_keys = store.objects_by_subject(vocab.SENSE_KEY)
-        self._triggers = store.objects_by_subject(vocab.TRIGGERS)
-        self._affect_roles = store.objects_by_subject(vocab.AFFECT_ROLE)
-        self._affect_polarities = store.objects_by_subject(vocab.AFFECT_POLARITY)
+        self._evokes = tables["evokes"]
+        self._sense_keys = tables["senseKey"]
+        self._triggers = tables["triggers"]
+        self._affect_roles = tables["affectRole"]
+        self._affect_polarities = tables["affectPolarity"]
 
     # -- frontend ------------------------------------------------------------
 

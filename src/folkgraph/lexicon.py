@@ -66,6 +66,21 @@ class Lexicon:
         self._multiwords: list[tuple[str, ...]] = []
         self._build()
 
+    @classmethod
+    def from_tables(cls, lexical_graphs: list[Term], by_lemma, by_form, frames, multiwords) -> "Lexicon":
+        """A lexicon over the tables ``tables()`` gave, with no store behind it."""
+        lexicon = cls.__new__(cls)
+        lexicon.store = None
+        lexicon.graph_names = list(lexical_graphs)
+        lexicon._by_lemma, lexicon._by_form, lexicon._frames = by_lemma, by_form, frames
+        lexicon._multiwords = multiwords
+        return lexicon
+
+    def tables(self):
+        """Entries by lemma and by form, frame elements by frame, and the
+        multiwords: everything the lookups read, as ``from_tables`` takes it."""
+        return self._by_lemma, self._by_form, self._frames, self._multiwords
+
     # -- build ---------------------------------------------------------------
 
     def _scan(self, s=None, p=None, o=None):

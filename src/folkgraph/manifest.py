@@ -12,6 +12,19 @@ collect expansion output, and ``eval/`` collects statistics output. Its
 location defaults to ``workspace/`` beside the manifest and can be moved
 with the FOLKGRAPH_WORKSPACE environment variable.
 
+``build-kb`` also writes ``detector.snapshot``: the lexicon's entry tables
+and the detector's five lookup tables over the base graphs, as a ``marshal``
+dump of plain data (every term once, as its four fields, and integer term ids
+everywhere else), so loading it never runs code. Its key is the byte length
+and CRC-32 of ``meta.json`` and of every graph file ``meta.json`` lists, next
+to a format version and ``sys.implementation.cache_tag``. ``open_detector``
+loads it when all of these match the workspace on disk, parses only the
+trigger graphs and merges their tables in; otherwise (no snapshot, a stale or
+truncated one, another format or interpreter) it builds the detector from the
+graph files as ``load_workspace`` does. Both give the same detector. CRC-32
+only has to notice an edit or a rebuild, not resist forgery: anyone who can
+write the graph files can rewrite the snapshot too.
+
 Loading or building a workspace of 1.5x10^5 triples allocates about 10^6
 long-lived objects (terms, triples, index buckets). The cyclic garbage
 collector is off while they are made, and ``gc.freeze()`` then moves them to
@@ -23,17 +36,21 @@ from __future__ import annotations
 
 import gc
 import json
+import marshal
 import os
 import re
+import sys
+import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 from . import vocab
 from .config import config_pairs
-from .detector import MODES
+from .detector import MODES, Detector, Tables, lookup_tables, merge_tables
 from .expansion import trigger_graph_name
-from .lexicon import Lexicon
+from .lexicon import FrameElement, LexicalEntry, Lexicon
 from .rdfio import PrefixTable, parse, to_ntriples
 from .store import TripleStore
 from .terms import Term, iri
@@ -43,6 +60,9 @@ GRAPH_ROLES = ("lexical", "values", "triggers")
 GRAPH_FORMATS = ("ntriples", "turtle")
 
 WORKSPACE_ENV = "FOLKGRAPH_WORKSPACE"
+SNAPSHOT_FILE = "detector.snapshot"
+_SNAPSHOT_MAGIC = b"folkgraph detector snapshot\n"
+_SNAPSHOT_VERSION = 1  # bump whenever the encoded tables change shape or meaning
 
 
 class ManifestError(ValueError):
@@ -179,12 +199,13 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
                 entries.append({"name": name.value, "role": "values"})
 
         lexical = [g.name for g in manifest.graph_files if g.role == "lexical"]
-        Lexicon(store, lexical)  # build-time validation of the lexical layer
+        lexicon = Lexicon(store, lexical)  # validates the lexical layer; the snapshot keeps its tables
     store.freeze()
 
     graphs_dir = workspace / "graphs"
     graphs_dir.mkdir(parents=True, exist_ok=True)
     used = set()
+    checksums = []
     for entry in entries:
         stem = safe_name(manifest.prefixes.compact(entry["name"]))
         if stem in used:
@@ -192,7 +213,9 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
         used.add(stem)
         entry["file"] = f"graphs/{stem}.nt"
         graph = store.graph(iri(entry["name"]))
-        (workspace / entry["file"]).write_text(to_ntriples(graph.triples), encoding="utf-8")
+        data = to_ntriples(graph.triples).encode("utf-8")
+        (workspace / entry["file"]).write_bytes(data)
+        checksums.append(_checksum(entry["file"], data))
 
     meta = {
         "detectorMode": manifest.detector_mode,
@@ -203,8 +226,132 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
             "values": value_count,
         },
     }
-    (workspace / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    data = (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    (workspace / "meta.json").write_bytes(data)
+    _write_snapshot(workspace, (_checksum("meta.json", data), *checksums), lexicon, lookup_tables(store))
     return meta
+
+
+# -- the detector snapshot ----------------------------------------------------------
+
+
+def _checksum(name: str, data: bytes) -> tuple[str, int, int]:
+    return (name, len(data), zlib.crc32(data))
+
+
+def _workspace_key(workspace: Path) -> tuple | None:
+    """Checksums of meta.json and the graph files it lists, or None if one is unreadable."""
+    try:
+        data = (workspace / "meta.json").read_bytes()
+        key = [_checksum("meta.json", data)]
+        for entry in json.loads(data)["graphs"]:
+            key.append(_checksum(entry["file"], (workspace / entry["file"]).read_bytes()))
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
+    return tuple(key)
+
+
+class _Ids(dict):
+    """Term -> id, numbering terms in the order they are first looked up."""
+
+    def __missing__(self, term: Term) -> int:
+        self[term] = at = len(self)
+        return at
+
+
+def _encode(lexicon: Lexicon, tables: Tables) -> tuple:
+    """The lexicon's and the detector's tables as plain data: each term once,
+    as its fields, and term or entry ids everywhere else."""
+    ids = _Ids()
+    term_id = ids.__getitem__
+    by_lemma, by_form, frames, multiwords = lexicon.tables()
+    entries = [entry for same_lemma in by_lemma.values() for entry in same_lemma]  # one lemma per entry
+    row_of = {id(entry): at for at, entry in enumerate(entries)}
+    rows = [
+        (term_id(e.node), e.lemma, e.pos, tuple(map(term_id, e.senses)), tuple(map(term_id, e.concept_anchors)))
+        for e in entries
+    ]
+    lexical = (
+        list(map(term_id, lexicon.graph_names)),
+        {lemma: [row_of[id(e)] for e in same_lemma] for lemma, same_lemma in by_lemma.items()},
+        {form: [row_of[id(e)] for e in same_form] for form, same_form in by_form.items()},
+        {term_id(f): [(term_id(e.id), e.name, e.element_type) for e in fes] for f, fes in frames.items()},
+        multiwords,
+    )
+    encoded = {
+        name: {term_id(s): tuple(map(term_id, objects)) for s, objects in table.items()}
+        for name, table in tables.items()
+    }
+    return [tuple(term) for term in ids], rows, lexical, encoded
+
+
+def _write_snapshot(workspace: Path, key: tuple, lexicon: Lexicon, tables: Tables) -> None:
+    header = (_SNAPSHOT_VERSION, sys.implementation.cache_tag, key)
+    partial_path = workspace / f"{SNAPSHOT_FILE}.tmp"
+    partial_path.write_bytes(_SNAPSHOT_MAGIC + marshal.dumps((*header, _encode(lexicon, tables))))
+    os.replace(partial_path, workspace / SNAPSHOT_FILE)
+
+
+# Terms from fields the store already validated, without Term's checks.
+_term_from_fields = partial(tuple.__new__, Term)
+
+
+def _decode(payload: tuple) -> tuple[Lexicon, Tables]:
+    fields, rows, lexical, encoded = payload
+    terms = list(map(_term_from_fields, fields))
+    term = terms.__getitem__
+    entries = [
+        LexicalEntry(terms[node], lemma, pos, tuple(map(term, senses)), tuple(map(term, anchors)))
+        for node, lemma, pos, senses, anchors in rows
+    ]
+    entry = entries.__getitem__
+    graph_names, by_lemma, by_form, frames, multiwords = lexical
+    lexicon = Lexicon.from_tables(
+        list(map(term, graph_names)),
+        {lemma: list(map(entry, at)) for lemma, at in by_lemma.items()},
+        {form: list(map(entry, at)) for form, at in by_form.items()},
+        {terms[f]: [FrameElement(terms[e], name, kind) for e, name, kind in fes] for f, fes in frames.items()},
+        multiwords,
+    )
+    tables = {
+        name: {terms[s]: tuple(map(term, objects)) for s, objects in table.items()}
+        for name, table in encoded.items()
+    }
+    return lexicon, tables
+
+
+def _load_snapshot(workspace: Path) -> tuple[Lexicon, Tables] | None:
+    """The snapshot's lexicon and base tables if it matches the workspace, else None."""
+    try:
+        data = (workspace / SNAPSHOT_FILE).read_bytes()
+        if not data.startswith(_SNAPSHOT_MAGIC):
+            return None
+        version, cache_tag, key, payload = marshal.loads(memoryview(data)[len(_SNAPSHOT_MAGIC) :])
+        if (version, cache_tag) != (_SNAPSHOT_VERSION, sys.implementation.cache_tag):
+            return None
+        if key != _workspace_key(workspace):
+            return None
+        return _decode(payload)
+    except (OSError, EOFError, ValueError, TypeError, IndexError, KeyError, AttributeError):
+        return None
+
+
+def open_detector(workspace: Path, mode: str) -> Detector:
+    """The detector over the workspace plus its trigger graphs: from the
+    snapshot when it matches, else built from the graph files."""
+    with _frozen_heap():
+        snapshot = _load_snapshot(workspace)
+        if snapshot is not None:
+            lexicon, tables = snapshot
+            triggers = TripleStore()
+            load_trigger_graphs(triggers, workspace)
+            triggers.freeze()
+            merge_tables(tables, lookup_tables(triggers))
+            return Detector.from_tables(lexicon, tables, mode)
+    store, lexicon, _ = load_workspace(workspace)
+    load_trigger_graphs(store, workspace)
+    store.freeze()
+    return Detector(store, lexicon, mode)
 
 
 # -- loading ---------------------------------------------------------------------

@@ -4,7 +4,10 @@ Literals carry an optional datatype IRI or language tag, never both.
 Terms and triples are tuples, so they hash and compare at C speed and key the
 store indexes directly. A tuple compares equal to a plain tuple of the same
 fields and orders field by field, so always sort with ``key=Term.key`` or
-``key=Triple.key``.
+``key=Triple.key``. ``Triple.key`` is one flat 12-tuple, the three
+``Term.key`` tuples end to end: every ``Term.key`` has four fields, so it
+orders exactly like the nested ``(s.key(), p.key(), o.key())``, and a sort
+compares flat tuples about twice as fast.
 """
 
 from __future__ import annotations
@@ -60,7 +63,7 @@ class Triple(NamedTuple):
     o: Term
 
     def key(self) -> tuple:
-        return (self.s.key(), self.p.key(), self.o.key())
+        return self.s.key() + self.p.key() + self.o.key()
 
 
 @dataclass(frozen=True, slots=True)

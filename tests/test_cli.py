@@ -1,12 +1,15 @@
 """End-to-end pipeline runs through the command-line entry point."""
 
 import json
+import multiprocessing
 import os
 
 import pytest
 
 from folkgraph import cli, vocab
+from folkgraph import manifest as workspace_io
 from folkgraph.cli import main
+from folkgraph.manifest import SNAPSHOT_FILE
 from folkgraph.rdfio import parse_ntriples
 
 from kb import MINI_CORPUS, MINI_MANIFEST, MINI_PLAN, MINI_SENTENCES, write_mini_pipeline
@@ -133,19 +136,54 @@ def test_parallel_detect_matches_serial(root, manifest, built):
         assert (root / "serial" / name).read_bytes() == (root / "parallel" / name).read_bytes()
 
 
-def test_parallel_detect_sets_up_once_in_the_parent(root, manifest, built, monkeypatch):
-    log = root / "load_workspace.log"
-    original = cli.load_workspace
+def log_calls(monkeypatch, module, name, log):
+    """Append the calling pid to ``log`` on every call of ``module.name``."""
+    original = getattr(module, name)
 
-    def logged(workspace):
+    def logged(*args):
         with log.open("a", encoding="utf-8") as handle:
             handle.write(f"{os.getpid()}\n")
-        return original(workspace)
+        return original(*args)
 
-    monkeypatch.setattr(cli, "load_workspace", logged)
+    monkeypatch.setattr(module, name, logged)
+
+
+def pids(log):
+    return log.read_text(encoding="utf-8").split() if log.exists() else []
+
+
+def test_parallel_detect_sets_up_once_in_the_parent(root, manifest, built, monkeypatch):
+    log_calls(monkeypatch, cli, "open_detector", root / "open_detector.log")
+    log_calls(monkeypatch, workspace_io, "load_workspace", root / "load_workspace.log")
     inputs = write_sentences(root / "sentences.jsonl")
     assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out"), "--jobs", "2"]) == 0
-    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
+    assert pids(root / "open_detector.log") == [str(os.getpid())]
+    assert pids(root / "load_workspace.log") == []  # the snapshot served
+
+
+def test_parallel_detect_without_snapshot_sets_up_once_in_the_parent(root, manifest, built, monkeypatch):
+    (root / "workspace" / SNAPSHOT_FILE).unlink()
+    log_calls(monkeypatch, cli, "open_detector", root / "open_detector.log")
+    log_calls(monkeypatch, workspace_io, "load_workspace", root / "load_workspace.log")
+    inputs = write_sentences(root / "sentences.jsonl")
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out"), "--jobs", "2"]) == 0
+    assert pids(root / "open_detector.log") == [str(os.getpid())]
+    assert pids(root / "load_workspace.log") == [str(os.getpid())]
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method")
+def test_parallel_detect_forks_its_workers(root, manifest, built, monkeypatch):
+    contexts = []
+    original = cli.ProcessPoolExecutor
+
+    def recorded(*args, **kwargs):
+        contexts.append(kwargs.get("mp_context"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recorded)
+    inputs = write_sentences(root / "sentences.jsonl")
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out"), "--jobs", "2"]) == 0
+    assert [context.get_start_method() for context in contexts] == ["fork"]
 
 
 # -- exit codes -------------------------------------------------------------------
@@ -169,6 +207,16 @@ def test_detect_before_build_exits_2(root, manifest, jobs, capsys):
     inputs = write_sentences(root / "sentences.jsonl")
     assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out"), "--jobs", jobs]) == 2
     assert "workspace not built" in capsys.readouterr().err
+    assert not (root / "out").exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1", "two"])
+def test_detect_jobs_not_a_positive_integer_exits_2(root, manifest, built, jobs, capsys):
+    inputs = write_sentences(root / "sentences.jsonl")
+    with pytest.raises(SystemExit) as exited:
+        main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out"), "--jobs", jobs])
+    assert exited.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
     assert not (root / "out").exists()
 
 
