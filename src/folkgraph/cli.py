@@ -1,9 +1,10 @@
 """Command-line pipeline: build-kb, expand, detect, eval.
 
 Commands communicate through the workspace directory only, so each run is
-reproducible from the manifest plus fixture files. ``detect`` opens its
-detector once (``open_detector``: the workspace's snapshot when it matches,
-else built from the graph files); with ``--jobs N`` the worker processes
+reproducible from the manifest plus fixture files. ``expand`` and ``detect``
+set up from the snapshot ``build-kb`` writes when it matches the workspace,
+else from the graph files (``open_expander``, ``open_detector``); ``detect``
+opens its detector once, and with ``--jobs N`` the worker processes
 receive it at start-up, forked where the platform can fork, each writes the
 graph files of its sentences, and the parent writes ``summary.jsonl`` in
 input order as results arrive. Exit codes: 0 on success,
@@ -35,14 +36,14 @@ from .evaluation import (
     render_histogram,
     report_json,
 )
-from .expansion import Expander, PlanError, StaleSelectionError, parse_plan
+from .expansion import PlanError, StaleSelectionError, parse_plan
 from .lexicon import LexiconError
 from .manifest import (
     ManifestError,
     build_workspace,
     load_manifest,
-    load_workspace,
     open_detector,
+    open_expander,
     safe_name,
     workspace_dir,
 )
@@ -75,9 +76,7 @@ def cmd_build_kb(args: argparse.Namespace) -> int:
 def cmd_expand(args: argparse.Namespace) -> int:
     manifest = load_manifest(args.manifest)
     workspace = workspace_dir(args.manifest)
-    store, lexicon, _ = load_workspace(workspace)
-    store.freeze()
-    expander = Expander(store, lexicon, manifest.prefixes)
+    expander = open_expander(workspace, manifest.prefixes)
 
     plans = [parse_plan(path, manifest.prefixes) for path in manifest.plans]
     owned = {safe_name(manifest.prefixes.compact(plan.value.value)) for plan in plans}

@@ -41,13 +41,7 @@ from .store import TripleStore
 from .terms import Term, Triple, iri, lit
 
 MODES = ("firstSense", "allSenses")
-TABLE_PREDICATES = {
-    "evokes": vocab.EVOKES,
-    "senseKey": vocab.SENSE_KEY,
-    "triggers": vocab.TRIGGERS,
-    "affectRole": vocab.AFFECT_ROLE,
-    "affectPolarity": vocab.AFFECT_POLARITY,
-}
+TABLE_PREDICATES = (vocab.EVOKES, vocab.SENSE_KEY, vocab.TRIGGERS, vocab.AFFECT_ROLE, vocab.AFFECT_POLARITY)
 
 _WORD = re.compile(r"\w+")
 _CHAIN_PREDICATES = {"evokes": vocab.EVOKES, "triggers": vocab.TRIGGERS}
@@ -58,18 +52,19 @@ class DetectorError(ValueError):
     pass
 
 
-Tables = dict[str, dict[Term, tuple[Term, ...]]]
+# Predicate -> (subject -> objects, or object -> subjects), each tuple in Term.key order.
+Tables = dict[Term, dict[Term, tuple[Term, ...]]]
 
 
 def lookup_tables(store: TripleStore) -> Tables:
-    """Subject -> objects in Term.key order, for each ``TABLE_PREDICATES`` name."""
-    return {name: store.objects_by_subject(predicate) for name, predicate in TABLE_PREDICATES.items()}
+    """Subject -> objects in Term.key order, for each of ``TABLE_PREDICATES``."""
+    return {predicate: store.objects_by_subject(predicate) for predicate in TABLE_PREDICATES}
 
 
 def merge_tables(tables: Tables, extra: Tables) -> None:
     """Add ``extra`` into ``tables`` in place: the tables of the union of both stores."""
-    for name, rows in extra.items():
-        into = tables[name]
+    for predicate, rows in extra.items():
+        into = tables[predicate]
         for subject, objects in rows.items():
             have = into.get(subject)
             into[subject] = objects if have is None else tuple(sorted({*have, *objects}, key=Term.key))
@@ -229,11 +224,11 @@ class Detector:
         self._multiwords: dict[str, list[tuple[str, ...]]] = {}
         for words in lexicon.multiwords():
             self._multiwords.setdefault(words[0], []).append(words)
-        self._evokes = tables["evokes"]
-        self._sense_keys = tables["senseKey"]
-        self._triggers = tables["triggers"]
-        self._affect_roles = tables["affectRole"]
-        self._affect_polarities = tables["affectPolarity"]
+        self._evokes = tables[vocab.EVOKES]
+        self._sense_keys = tables[vocab.SENSE_KEY]
+        self._triggers = tables[vocab.TRIGGERS]
+        self._affect_roles = tables[vocab.AFFECT_ROLE]
+        self._affect_polarities = tables[vocab.AFFECT_POLARITY]
 
     # -- frontend ------------------------------------------------------------
 

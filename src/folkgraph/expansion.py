@@ -10,12 +10,19 @@ Query dependencies: frame results feed the frame-element, lexical-unit, and
 close-match queries; concept results feed the factual query; lexical-unit
 synsets feed the YAGO query, which is terminal. Candidate and accepted lists
 are kept in lexicographic IRI order so runs diff cleanly.
+
+Every query is a one-hop lookup: objects of ``OBJECT_PREDICATES`` by subject
+and subjects of ``SUBJECT_PREDICATES`` by object. ``Expander`` reads them from
+tables that ``lookup_tables`` builds once from a store, or that
+``Expander.from_tables`` takes ready made, as the workspace snapshot supplies
+them; both give the lists ``TripleStore.objects`` and ``subjects`` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import vocab
 from .config import config_lines, config_pairs
@@ -25,6 +32,18 @@ from .store import TripleStore
 from .terms import Term, Triple, iri
 
 QUERY_KINDS = ("frame", "frameElement", "lexicalUnit", "yago", "closeMatch", "concept", "factual")
+# Every store read the queries make: objects of OBJECT_PREDICATES by subject,
+# and subjects of SUBJECT_PREDICATES by object.
+OBJECT_PREDICATES = (vocab.EVOKES, vocab.SENSE_KEY, vocab.OWL_SAME_AS, vocab.EXTERNAL_URL, *vocab.CONCEPT_RELATIONS)
+SUBJECT_PREDICATES = (vocab.EVOKES, vocab.SENSE_KEY, vocab.SKOS_CLOSE_MATCH, *vocab.CONCEPT_RELATIONS)
+
+
+class ExpanderTables(NamedTuple):
+    """Predicate -> subject -> objects, and predicate -> object -> subjects,
+    each tuple in Term.key order."""
+
+    objects: dict[Term, dict[Term, tuple[Term, ...]]]
+    subjects: dict[Term, dict[Term, tuple[Term, ...]]]
 
 
 class PlanError(ValueError):
@@ -146,11 +165,41 @@ def _sorted_terms(terms) -> list[Term]:
     return sorted(set(terms), key=Term.key)
 
 
+def lookup_tables(store: TripleStore, objects: dict | None = None) -> ExpanderTables:
+    """Every lookup the queries make, as ``TripleStore.objects_by_subject`` and
+    ``subjects_by_object`` tables of ``OBJECT_PREDICATES`` and ``SUBJECT_PREDICATES``.
+    Object tables that ``objects`` already holds for this store (the detector's,
+    say) are reused, not built again."""
+    objects = objects or {}
+    return ExpanderTables(
+        {p: objects[p] if p in objects else store.objects_by_subject(p) for p in OBJECT_PREDICATES},
+        {p: store.subjects_by_object(p) for p in SUBJECT_PREDICATES},
+    )
+
+
 class Expander:
+    """Runs plans over a lexicon and lookup tables, built from a store or ready made."""
+
     def __init__(self, store: TripleStore, lexicon: Lexicon, prefixes: PrefixTable | None = None):
-        self.store = store
+        self._use(lexicon, prefixes, lookup_tables(store))
+
+    @classmethod
+    def from_tables(cls, lexicon: Lexicon, tables: ExpanderTables, prefixes: PrefixTable | None = None) -> "Expander":
+        """An expander over ready-made tables, as ``lookup_tables`` returns them."""
+        expander = cls.__new__(cls)
+        expander._use(lexicon, prefixes, tables)
+        return expander
+
+    def _use(self, lexicon: Lexicon, prefixes: PrefixTable | None, tables: ExpanderTables) -> None:
         self.lexicon = lexicon
         self.prefixes = prefixes or vocab.PREFIXES
+        self._objects_of, self._subjects_of = tables
+
+    def _objects(self, s: Term, p: Term) -> tuple[Term, ...]:
+        return self._objects_of[p].get(s, ())
+
+    def _subjects(self, p: Term, o: Term) -> tuple[Term, ...]:
+        return self._subjects_of[p].get(o, ())
 
     # -- individual queries --------------------------------------------------
 
@@ -162,7 +211,7 @@ class Expander:
         return _sorted_terms(
             frame
             for sense in self._seed_senses(seed)
-            for frame in self.store.objects(sense, vocab.EVOKES)
+            for frame in self._objects(sense, vocab.EVOKES)
         )
 
     def concept_activation_query(self, seed: Seed) -> list[Term]:
@@ -170,8 +219,8 @@ class Expander:
         neighbors = []
         for anchor in anchors:
             for relation in vocab.CONCEPT_RELATIONS:
-                neighbors.extend(self.store.objects(anchor, relation))
-                neighbors.extend(self.store.subjects(relation, anchor))
+                neighbors.extend(self._objects(anchor, relation))
+                neighbors.extend(self._subjects(relation, anchor))
         return _sorted_terms(n for n in neighbors if n not in anchors)
 
     def _seed_anchors(self, seed: Seed) -> list[Term]:
@@ -179,43 +228,40 @@ class Expander:
         return _sorted_terms(a for e in entries for a in e.concept_anchors)
 
     def factual_expansion_query(self, concept: Term) -> list[Term]:
-        return self.store.objects(concept, vocab.EXTERNAL_URL)
+        return list(self._objects(concept, vocab.EXTERNAL_URL))
 
     def frame_element_query(self, frame: Term):
-        return self.lexicon.frame_elements(frame, set(["core", "peripheral", "extraThematic"]))
+        return self.lexicon.frame_elements(frame)
 
-    def lexical_unit_expansion(self, frames: list[Term]) -> list[Term]:
-        synsets, verb_classes = self._lexical_unit_split(frames)
-        return _sorted_terms(synsets + verb_classes)
-
-    def _lexical_unit_split(self, frames: list[Term]) -> tuple[list[Term], list[Term]]:
+    def lexical_unit_split(self, frames: list[Term]) -> tuple[list[Term], list[Term]]:
+        """The synsets and the verb classes that ``frames`` reach, each in Term.key order."""
         evokers = _sorted_terms(
             s
             for frame in frames
-            for s in self.store.subjects(vocab.EVOKES, frame)
+            for s in self._subjects(vocab.EVOKES, frame)
         )
         via_sense_key = _sorted_terms(
-            vc for s in evokers for vc in self.store.objects(s, vocab.SENSE_KEY)
+            vc for s in evokers for vc in self._objects(s, vocab.SENSE_KEY)
         )
         synsets = [e for e in evokers if not self._is_verb_class(e)]
         verb_classes = _sorted_terms([e for e in evokers if self._is_verb_class(e)] + via_sense_key)
         return synsets, verb_classes
 
     def _is_verb_class(self, term: Term) -> bool:
-        return bool(self.store.subjects(vocab.SENSE_KEY, term))
+        return term in self._subjects_of[vocab.SENSE_KEY]
 
     def yago_expansion(self, synsets: list[Term]) -> list[Term]:
         return _sorted_terms(
             y
             for synset in synsets
-            for y in self.store.objects(synset, vocab.OWL_SAME_AS)
+            for y in self._objects(synset, vocab.OWL_SAME_AS)
         )
 
     def close_match_expansion(self, frames: list[Term]) -> list[Term]:
         return _sorted_terms(
             e
             for frame in frames
-            for e in self.store.subjects(vocab.SKOS_CLOSE_MATCH, frame)
+            for e in self._subjects(vocab.SKOS_CLOSE_MATCH, frame)
         )
 
     # -- plan execution --------------------------------------------------------
@@ -252,7 +298,7 @@ class Expander:
         )
         queries["frameElement"] = self._apply_selection(plan, "frameElement", element_candidates)
 
-        synsets, verb_classes = self._lexical_unit_split(accepted_frames)
+        synsets, verb_classes = self.lexical_unit_split(accepted_frames)
         queries["lexicalUnit"] = self._apply_selection(
             plan, "lexicalUnit", _sorted_terms(synsets + verb_classes)
         )

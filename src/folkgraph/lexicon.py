@@ -3,8 +3,8 @@
 Entries, frames, and frame elements are scanned once from the graphs marked
 with the `lexical` role and indexed by lemma and surface form. Sense-level
 links (evoked frames, verb classes, concept hops, external alignments) are
-not indexed here: callers read them from the store with
-``TripleStore.objects``/``subjects``.
+not indexed here: the detector and the expander read them through their own
+lookup tables (``detector.lookup_tables``, ``expansion.lookup_tables``).
 
 Sense rank follows the WordNet numbering convention: the trailing integer of
 the sense IRI (`...risk-verb-2` has rank 2), rank 1 being the default sense.
@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 
 from . import vocab
-from .store import TripleStore
+from .store import NamedGraph, TripleStore
 from .terms import LITERAL, Term
 
 POS_VALUES = ("noun", "verb", "adjective", "adverb", "multiword")
@@ -57,21 +57,19 @@ def sense_rank(sense: Term) -> int:
 
 
 class Lexicon:
+    """Lookup tables scanned from the lexical graphs; keeps no reference to the store."""
+
     def __init__(self, store: TripleStore, lexical_graphs: list[Term]):
-        self.store = store
-        self.graph_names = list(lexical_graphs)
         self._by_lemma: dict[str, list[LexicalEntry]] = {}
         self._by_form: dict[str, list[LexicalEntry]] = {}
         self._frames: dict[Term, list[FrameElement]] = {}
         self._multiwords: list[tuple[str, ...]] = []
-        self._build()
+        self._build([store.graph(name) for name in lexical_graphs])
 
     @classmethod
-    def from_tables(cls, lexical_graphs: list[Term], by_lemma, by_form, frames, multiwords) -> "Lexicon":
-        """A lexicon over the tables ``tables()`` gave, with no store behind it."""
+    def from_tables(cls, by_lemma, by_form, frames, multiwords) -> "Lexicon":
+        """A lexicon over the tables ``tables()`` gave."""
         lexicon = cls.__new__(cls)
-        lexicon.store = None
-        lexicon.graph_names = list(lexical_graphs)
         lexicon._by_lemma, lexicon._by_form, lexicon._frames = by_lemma, by_form, frames
         lexicon._multiwords = multiwords
         return lexicon
@@ -83,14 +81,15 @@ class Lexicon:
 
     # -- build ---------------------------------------------------------------
 
-    def _scan(self, s=None, p=None, o=None):
-        for name in self.graph_names:
-            yield from self.store.graph(name).candidates(s, p, o)
+    @staticmethod
+    def _scan(graphs: list[NamedGraph], s=None, p=None, o=None):
+        for graph in graphs:
+            yield from graph.candidates(s, p, o)
 
-    def _by_predicate(self, subject: Term) -> dict[Term, list[Term]]:
+    def _by_predicate(self, graphs: list[NamedGraph], subject: Term) -> dict[Term, list[Term]]:
         """Objects of every triple on ``subject`` in the lexical graphs, by predicate."""
         objects: dict[Term, list[Term]] = {}
-        for t in self._scan(s=subject):
+        for t in self._scan(graphs, s=subject):
             objects.setdefault(t.p, []).append(t.o)
         return objects
 
@@ -101,20 +100,20 @@ class Lexicon:
             raise LexiconError(f"{subject.value}: expected exactly one {what}, found {len(values)}")
         return values[0]
 
-    def _build(self) -> None:
-        for triple in self._scan(p=vocab.RDF_TYPE, o=vocab.LEXICAL_ENTRY):
-            self._index_entry(triple.s)
-        for triple in self._scan(p=vocab.RDF_TYPE, o=vocab.FRAME):
-            self._index_frame(triple.s)
+    def _build(self, graphs: list[NamedGraph]) -> None:
+        for triple in self._scan(graphs, p=vocab.RDF_TYPE, o=vocab.LEXICAL_ENTRY):
+            self._index_entry(graphs, triple.s)
+        for triple in self._scan(graphs, p=vocab.RDF_TYPE, o=vocab.FRAME):
+            self._index_frame(graphs, triple.s)
         for entries in self._by_lemma.values():
             entries.sort(key=lambda e: (_POS_ORDER[e.pos], e.node.key()))
         for entries in self._by_form.values():
             entries.sort(key=lambda e: (_POS_ORDER[e.pos], e.node.key()))
         self._multiwords.sort(key=lambda words: (-len(words), words))
-        self._check_same_as_symmetry()
+        self._check_same_as_symmetry(graphs)
 
-    def _index_entry(self, node: Term) -> None:
-        objects = self._by_predicate(node)
+    def _index_entry(self, graphs: list[NamedGraph], node: Term) -> None:
+        objects = self._by_predicate(graphs, node)
         lemma = self._literal(node, objects, vocab.LEMMA, "lemma")
         pos = self._literal(node, objects, vocab.POS, "pos")
         if pos not in _POS_ORDER:
@@ -130,12 +129,12 @@ class Lexicon:
         if pos == "multiword":
             self._multiwords.append(tuple(lemma.split(" ")))
 
-    def _index_frame(self, node: Term) -> None:
+    def _index_frame(self, graphs: list[NamedGraph], node: Term) -> None:
         elements = []
         names = set()
-        for triple in sorted(self._scan(s=node, p=vocab.ELEMENT), key=lambda t: t.o.key()):
+        for triple in sorted(self._scan(graphs, s=node, p=vocab.ELEMENT), key=lambda t: t.o.key()):
             fe = triple.o
-            objects = self._by_predicate(fe)
+            objects = self._by_predicate(graphs, fe)
             name = self._literal(fe, objects, vocab.RDFS_LABEL, "element label")
             element_type = self._literal(fe, objects, vocab.ELEMENT_TYPE, "element type")
             if element_type not in ELEMENT_TYPES:
@@ -146,8 +145,8 @@ class Lexicon:
             elements.append(FrameElement(fe, name, element_type))
         self._frames[node] = elements
 
-    def _check_same_as_symmetry(self) -> None:
-        links = {(t.s, t.o) for t in self._scan(p=vocab.OWL_SAME_AS)}
+    def _check_same_as_symmetry(self, graphs: list[NamedGraph]) -> None:
+        links = {(t.s, t.o) for t in self._scan(graphs, p=vocab.OWL_SAME_AS)}
         for s, o in sorted(links, key=lambda pair: (pair[0].key(), pair[1].key())):
             if (o, s) not in links:
                 raise LexiconError(f"sameAs is asymmetric: {s.value} -> {o.value} has no inverse")
@@ -175,10 +174,8 @@ class Lexicon:
         """Multiword lemmas as token tuples, longest first."""
         return list(self._multiwords)
 
-    def frame_elements(self, frame: Term, types: set[str]) -> list[FrameElement]:
+    def frame_elements(self, frame: Term) -> list[FrameElement]:
+        """The frame's elements, of every element type, in Term.key order of their ids."""
         if frame not in self._frames:
             raise LexiconError(f"unknown frame: {frame.value}")
-        bad = types - set(ELEMENT_TYPES)
-        if bad:
-            raise LexiconError(f"unknown element types: {sorted(bad)}")
-        return [fe for fe in self._frames[frame] if fe.element_type in types]
+        return list(self._frames[frame])

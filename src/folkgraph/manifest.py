@@ -12,18 +12,23 @@ collect expansion output, and ``eval/`` collects statistics output. Its
 location defaults to ``workspace/`` beside the manifest and can be moved
 with the FOLKGRAPH_WORKSPACE environment variable.
 
-``build-kb`` also writes ``detector.snapshot``: the lexicon's entry tables
-and the detector's five lookup tables over the base graphs, as a ``marshal``
+``build-kb`` also writes ``detector.snapshot``, which serves ``expand`` and
+``detect``. It holds two sections over the base graphs, each a ``marshal``
 dump of plain data (every term once, as its four fields, and integer term ids
-everywhere else), so loading it never runs code. Its key is the byte length
-and CRC-32 of ``meta.json`` and of every graph file ``meta.json`` lists, next
-to a format version and ``sys.implementation.cache_tag``. ``open_detector``
-loads it when all of these match the workspace on disk, parses only the
-trigger graphs and merges their tables in; otherwise (no snapshot, a stale or
-truncated one, another format or interpreter) it builds the detector from the
-graph files as ``load_workspace`` does. Both give the same detector. CRC-32
-only has to notice an edit or a rebuild, not resist forgery: anyone who can
-write the graph files can rewrite the snapshot too.
+everywhere else), so loading it never runs code. The detector's section holds
+the lexicon's entry tables and the detector's five lookup tables; the
+expander's holds the object tables and subject tables ``expansion.lookup_tables``
+builds, less the object tables the detector's section already holds, and
+numbers only the terms that section lacks. Its key is the byte length and
+CRC-32 of ``meta.json`` and of every graph file ``meta.json`` lists, next to a
+format version and ``sys.implementation.cache_tag``. When all of these match
+the workspace on disk, ``open_detector`` decodes the detector's section only,
+parses the trigger graphs and merges their tables in, and ``open_expander``
+decodes both sections and reads no trigger graph. Otherwise (no snapshot, a
+stale or truncated one, another format or interpreter) each builds from the
+graph files as ``load_workspace`` does. Both ways give the same detector and
+the same expander. CRC-32 only has to notice an edit or a rebuild, not resist
+forgery: anyone who can write the graph files can rewrite the snapshot too.
 
 Loading or building a workspace of 1.5x10^5 triples allocates about 10^6
 long-lived objects (terms, triples, index buckets). The cyclic garbage
@@ -44,12 +49,14 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from . import vocab
 from .config import config_pairs
 from .detector import MODES, Detector, Tables, lookup_tables, merge_tables
-from .expansion import trigger_graph_name
+from .expansion import OBJECT_PREDICATES, Expander, ExpanderTables, trigger_graph_name
+from .expansion import lookup_tables as expander_tables
 from .lexicon import FrameElement, LexicalEntry, Lexicon
 from .rdfio import PrefixTable, parse, to_ntriples
 from .store import TripleStore
@@ -62,7 +69,7 @@ GRAPH_FORMATS = ("ntriples", "turtle")
 WORKSPACE_ENV = "FOLKGRAPH_WORKSPACE"
 SNAPSHOT_FILE = "detector.snapshot"
 _SNAPSHOT_MAGIC = b"folkgraph detector snapshot\n"
-_SNAPSHOT_VERSION = 1  # bump whenever the encoded tables change shape or meaning
+_SNAPSHOT_VERSION = 2  # bump whenever the encoded tables change shape or meaning
 
 
 class ManifestError(ValueError):
@@ -199,7 +206,8 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
                 entries.append({"name": name.value, "role": "values"})
 
         lexical = [g.name for g in manifest.graph_files if g.role == "lexical"]
-        lexicon = Lexicon(store, lexical)  # validates the lexical layer; the snapshot keeps its tables
+        lexicon = Lexicon(store, lexical)  # validates the lexical layer
+        sections = _encode(store, lexicon)  # written once meta.json gives the snapshot its key
     store.freeze()
 
     graphs_dir = workspace / "graphs"
@@ -228,7 +236,7 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
     }
     data = (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")
     (workspace / "meta.json").write_bytes(data)
-    _write_snapshot(workspace, (_checksum("meta.json", data), *checksums), lexicon, lookup_tables(store))
+    _write_snapshot(workspace, (_checksum("meta.json", data), *checksums), sections)
     return meta
 
 
@@ -259,11 +267,23 @@ class _Ids(dict):
         return at
 
 
-def _encode(lexicon: Lexicon, tables: Tables) -> tuple:
-    """The lexicon's and the detector's tables as plain data: each term once,
-    as its fields, and term or entry ids everywhere else."""
+def _encode(store: TripleStore, lexicon: Lexicon) -> tuple[bytes, bytes]:
+    """The snapshot's sections: the lexicon's and the detector's tables, then
+    the expander's, each a ``marshal`` dump of plain data: each term once, as
+    its fields, and term or entry ids everywhere else. The expander's section
+    numbers its own terms on from the detector's, and leaves out the object
+    tables the detector's section already holds."""
+    tables = lookup_tables(store)
+    expander = expander_tables(store, tables)
     ids = _Ids()
     term_id = ids.__getitem__
+
+    def encoded(tables: Tables) -> dict:
+        return {
+            term_id(predicate): {term_id(key): tuple(map(term_id, found)) for key, found in rows.items()}
+            for predicate, rows in tables.items()
+        }
+
     by_lemma, by_form, frames, multiwords = lexicon.tables()
     entries = [entry for same_lemma in by_lemma.values() for entry in same_lemma]  # one lemma per entry
     row_of = {id(entry): at for at, entry in enumerate(entries)}
@@ -272,23 +292,26 @@ def _encode(lexicon: Lexicon, tables: Tables) -> tuple:
         for e in entries
     ]
     lexical = (
-        list(map(term_id, lexicon.graph_names)),
         {lemma: [row_of[id(e)] for e in same_lemma] for lemma, same_lemma in by_lemma.items()},
         {form: [row_of[id(e)] for e in same_form] for form, same_form in by_form.items()},
         {term_id(f): [(term_id(e.id), e.name, e.element_type) for e in fes] for f, fes in frames.items()},
         multiwords,
     )
-    encoded = {
-        name: {term_id(s): tuple(map(term_id, objects)) for s, objects in table.items()}
-        for name, table in tables.items()
-    }
-    return [tuple(term) for term in ids], rows, lexical, encoded
+    detector_tables = encoded(tables)
+    detector_terms = [tuple(term) for term in ids]
+    objects = encoded({predicate: rows for predicate, rows in expander.objects.items() if predicate not in tables})
+    subjects = encoded(expander.subjects)
+    expander_terms = [tuple(term) for term in islice(ids, len(detector_terms), None)]
+    return (
+        marshal.dumps((detector_terms, rows, lexical, detector_tables)),
+        marshal.dumps((expander_terms, objects, subjects)),
+    )
 
 
-def _write_snapshot(workspace: Path, key: tuple, lexicon: Lexicon, tables: Tables) -> None:
+def _write_snapshot(workspace: Path, key: tuple, sections: tuple[bytes, bytes]) -> None:
     header = (_SNAPSHOT_VERSION, sys.implementation.cache_tag, key)
     partial_path = workspace / f"{SNAPSHOT_FILE}.tmp"
-    partial_path.write_bytes(_SNAPSHOT_MAGIC + marshal.dumps((*header, _encode(lexicon, tables))))
+    partial_path.write_bytes(_SNAPSHOT_MAGIC + marshal.dumps((*header, sections)))
     os.replace(partial_path, workspace / SNAPSHOT_FILE)
 
 
@@ -296,8 +319,16 @@ def _write_snapshot(workspace: Path, key: tuple, lexicon: Lexicon, tables: Table
 _term_from_fields = partial(tuple.__new__, Term)
 
 
-def _decode(payload: tuple) -> tuple[Lexicon, Tables]:
-    fields, rows, lexical, encoded = payload
+def _decode_tables(terms: list[Term], encoded: dict) -> Tables:
+    term = terms.__getitem__
+    return {
+        terms[predicate]: {terms[key]: tuple(map(term, found)) for key, found in rows.items()}
+        for predicate, rows in encoded.items()
+    }
+
+
+def _decode_detector(section: bytes) -> tuple[list[Term], Lexicon, Tables]:
+    fields, rows, lexical, encoded = marshal.loads(section)
     terms = list(map(_term_from_fields, fields))
     term = terms.__getitem__
     entries = [
@@ -305,33 +336,43 @@ def _decode(payload: tuple) -> tuple[Lexicon, Tables]:
         for node, lemma, pos, senses, anchors in rows
     ]
     entry = entries.__getitem__
-    graph_names, by_lemma, by_form, frames, multiwords = lexical
+    by_lemma, by_form, frames, multiwords = lexical
     lexicon = Lexicon.from_tables(
-        list(map(term, graph_names)),
         {lemma: list(map(entry, at)) for lemma, at in by_lemma.items()},
         {form: list(map(entry, at)) for form, at in by_form.items()},
         {terms[f]: [FrameElement(terms[e], name, kind) for e, name, kind in fes] for f, fes in frames.items()},
         multiwords,
     )
-    tables = {
-        name: {terms[s]: tuple(map(term, objects)) for s, objects in table.items()}
-        for name, table in encoded.items()
-    }
-    return lexicon, tables
+    return terms, lexicon, _decode_tables(terms, encoded)
 
 
-def _load_snapshot(workspace: Path) -> tuple[Lexicon, Tables] | None:
-    """The snapshot's lexicon and base tables if it matches the workspace, else None."""
+def _decode_expander(section: bytes, terms: list[Term], tables: Tables) -> ExpanderTables:
+    """The expander's tables; ``terms`` and ``tables`` are the detector section's."""
+    fields, objects, subjects = marshal.loads(section)
+    terms = terms + list(map(_term_from_fields, fields))
+    objects = {**tables, **_decode_tables(terms, objects)}
+    return ExpanderTables(
+        {predicate: objects[predicate] for predicate in OBJECT_PREDICATES}, _decode_tables(terms, subjects)
+    )
+
+
+def _load_snapshot(workspace: Path, expander: bool = False) -> tuple[Lexicon, Tables, ExpanderTables | None] | None:
+    """The snapshot's lexicon and detector tables, and its expander tables if
+    ``expander`` is set (else None), if it matches the workspace; else None.
+    Only the sections asked for are decoded."""
     try:
         data = (workspace / SNAPSHOT_FILE).read_bytes()
         if not data.startswith(_SNAPSHOT_MAGIC):
             return None
-        version, cache_tag, key, payload = marshal.loads(memoryview(data)[len(_SNAPSHOT_MAGIC) :])
+        version, cache_tag, key, sections = marshal.loads(memoryview(data)[len(_SNAPSHOT_MAGIC) :])
+        del data  # the sections are copies; free the file's bytes before the key check reads the graphs
         if (version, cache_tag) != (_SNAPSHOT_VERSION, sys.implementation.cache_tag):
             return None
         if key != _workspace_key(workspace):
             return None
-        return _decode(payload)
+        detector_section, expander_section = sections
+        terms, lexicon, tables = _decode_detector(detector_section)
+        return lexicon, tables, _decode_expander(expander_section, terms, tables) if expander else None
     except (OSError, EOFError, ValueError, TypeError, IndexError, KeyError, AttributeError):
         return None
 
@@ -342,7 +383,7 @@ def open_detector(workspace: Path, mode: str) -> Detector:
     with _frozen_heap():
         snapshot = _load_snapshot(workspace)
         if snapshot is not None:
-            lexicon, tables = snapshot
+            lexicon, tables, _ = snapshot
             triggers = TripleStore()
             load_trigger_graphs(triggers, workspace)
             triggers.freeze()
@@ -352,6 +393,19 @@ def open_detector(workspace: Path, mode: str) -> Detector:
     load_trigger_graphs(store, workspace)
     store.freeze()
     return Detector(store, lexicon, mode)
+
+
+def open_expander(workspace: Path, prefixes: PrefixTable) -> Expander:
+    """The expander over the workspace's base graphs (never its trigger
+    graphs): from the snapshot when it matches, else built from the graph files."""
+    with _frozen_heap():
+        snapshot = _load_snapshot(workspace, expander=True)
+        if snapshot is not None:
+            lexicon, _, tables = snapshot
+            return Expander.from_tables(lexicon, tables, prefixes)
+    store, lexicon, _ = load_workspace(workspace)
+    store.freeze()
+    return Expander(store, lexicon, prefixes)
 
 
 # -- loading ---------------------------------------------------------------------

@@ -25,6 +25,7 @@ RDF_TYPE = iri("http://www.w3.org/1999/02/22-rdf-syntax-ns#type")
 
 _ESCAPES = {'"': '"', "\\": "\\", "n": "\n", "r": "\r", "t": "\t"}
 _UNESCAPES = {"\n": "\\n", "\r": "\\r", "\t": "\\t", '"': '\\"', "\\": "\\\\"}
+_ESCAPE_TABLE = str.maketrans(_UNESCAPES)
 
 
 class ParseError(ValueError):
@@ -40,11 +41,19 @@ class PrefixTable:
     """Prefix-to-namespace mapping used for compaction and qname expansion.
 
     The config format is one ``prefix = iri`` entry per line, ``#`` comments
-    allowed.
+    allowed. ``mapping`` is read-only once the table is made: the namespaces
+    are indexed once, and ``compact`` remembers every answer it gives.
     """
 
     def __init__(self, mapping: dict[str, str] | None = None):
         self.mapping: dict[str, str] = dict(mapping or {})
+        # Each non-empty namespace with the first prefix bound to it.
+        self._prefix_of: dict[str, str] = {}
+        for prefix, namespace in self.mapping.items():
+            if namespace:
+                self._prefix_of.setdefault(namespace, prefix)
+        self._namespaces: re.Pattern | None = None  # compiled by the first compact() that needs it
+        self._compacted: dict[str, str] = {}
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PrefixTable":
@@ -69,14 +78,23 @@ class PrefixTable:
 
     def compact(self, value: str) -> str:
         """Longest-namespace-match compaction, else the IRI as ``expand`` reads it back."""
-        best = ""
-        best_prefix = None
-        for prefix, namespace in self.mapping.items():
-            if value.startswith(namespace) and len(namespace) > len(best):
-                best, best_prefix = namespace, prefix
-        if best_prefix is None:
-            return value if ":" not in value or value.split(":", 1)[1].startswith("//") else f"<{value}>"
-        return f"{best_prefix}:{value[len(best):]}"
+        compacted = self._compacted.get(value)
+        if compacted is None:
+            if self._namespaces is None:
+                # One pattern that tries the namespaces longest first, so its match
+                # is the longest; ``(?!)``, which never matches, when there are none.
+                longest_first = sorted(self._prefix_of, key=len, reverse=True)
+                self._namespaces = re.compile("|".join(map(re.escape, longest_first)) or "(?!)")
+            match = self._namespaces.match(value)
+            if match is not None:
+                namespace = match.group()
+                compacted = f"{self._prefix_of[namespace]}:{value[len(namespace):]}"
+            elif ":" not in value or value.split(":", 1)[1].startswith("//"):
+                compacted = value
+            else:
+                compacted = f"<{value}>"
+            self._compacted[value] = compacted
+        return compacted
 
     def shorten(self, term: Term) -> str:
         """Readable rendering of a term for reports and summaries."""
@@ -406,7 +424,7 @@ def parse(text: str, fmt: str) -> list[Triple]:
 
 
 def _escape_literal(value: str) -> str:
-    return "".join(_UNESCAPES.get(ch, ch) for ch in value)
+    return value.translate(_ESCAPE_TABLE)
 
 
 def term_to_ntriples(term: Term) -> str:

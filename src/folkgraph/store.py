@@ -54,6 +54,8 @@ class NamedGraph:
             pools.append(self._by_o.get(o, ()))
         if not pools:
             return iter(self.triples)
+        if len(pools) == 1:  # every triple in the bucket has the one bound term
+            return iter(pools[0])
         smallest = min(pools, key=len)
         return (
             t
@@ -125,11 +127,11 @@ class TripleStore:
 
     def objects_by_subject(self, p: Term) -> dict[Term, tuple[Term, ...]]:
         """Subject -> ``objects(subject, p)`` for every subject of ``p``, as tuples."""
-        objects: dict[Term, set[Term]] = {}
-        for graph in self.graphs.values():
-            for triple in graph.candidates(None, p, None):
-                objects.setdefault(triple.s, set()).add(triple.o)
-        return {subject: tuple(sorted(found, key=Term.key)) for subject, found in objects.items()}
+        return _grouped((t.s, t.o) for g in self.graphs.values() for t in g.candidates(None, p, None))
+
+    def subjects_by_object(self, p: Term) -> dict[Term, tuple[Term, ...]]:
+        """Object -> ``subjects(p, object)`` for every object of ``p``, as tuples."""
+        return _grouped((t.o, t.s) for g in self.graphs.values() for t in g.candidates(None, p, None))
 
     # -- matching ----------------------------------------------------------
 
@@ -192,6 +194,20 @@ class TripleStore:
             if not bindings:
                 return []
         return _unique_sorted(bindings)
+
+
+def _grouped(pairs) -> dict[Term, tuple[Term, ...]]:
+    """Each first term -> the distinct second terms paired with it, in Term.key order."""
+    found: dict[Term, set[Term]] = {}
+    for key, value in pairs:
+        values = found.get(key)
+        if values is None:
+            found[key] = {value}
+        else:
+            values.add(value)
+    return {
+        key: tuple(sorted(values, key=Term.key)) if len(values) > 1 else (*values,) for key, values in found.items()
+    }
 
 
 def _unique_sorted(bindings: list[Binding]) -> list[Binding]:

@@ -188,9 +188,9 @@ def verb_classes_of_sense(store, sense: Term) -> list[Term]:
     return [b["v"] for b in store.match([Pattern(sense, vocab.SENSE_KEY, Variable("v"))])]
 
 
-def reference_analyze(lexicon, text: str, sentence_id: str, mode: str) -> SentenceGraph:
+def reference_analyze(store, lexicon, text: str, sentence_id: str, mode: str) -> SentenceGraph:
     """Segment by trying every multiword at every token, longest first; read
-    frames and verb classes with pattern-match sense lookups on the lexicon's store."""
+    frames and verb classes with pattern-match sense lookups on the store."""
     tokens = [(m.start(), m.end(), m.group().lower()) for m in _WORD.finditer(text)]
     units = []
     i = 0
@@ -221,8 +221,8 @@ def reference_analyze(lexicon, text: str, sentence_id: str, mode: str) -> Senten
                     lemma=entry.lemma,
                     pos=entry.pos,
                     sense=sense,
-                    frames=tuple(frames_of_sense(lexicon.store, sense)),
-                    verb_classes=tuple(verb_classes_of_sense(lexicon.store, sense)),
+                    frames=tuple(frames_of_sense(store, sense)),
+                    verb_classes=tuple(verb_classes_of_sense(store, sense)),
                 )
             )
     return SentenceGraph(sentence_id, text, nodes)

@@ -285,10 +285,40 @@ def test_value_outside_prefix_table_reads_back(root, manifest, built):
     assert main(["eval", "--manifest", manifest, "--detections", str(root / "out" / "summary.jsonl")]) == 0
 
 
-def test_stale_selection_exits_3(root, manifest, built):
+def log_workspace_loads(monkeypatch, log):
+    """Log every load_workspace call, through whichever module a command reaches it."""
+    for module in (cli, workspace_io):
+        if hasattr(module, "load_workspace"):
+            log_calls(monkeypatch, module, "load_workspace", log)
+
+
+def test_stale_selection_exits_3(root, manifest, built, monkeypatch):
+    log_workspace_loads(monkeypatch, root / "load_workspace.log")
     frames = root / "plans" / "selections" / "frames.txt"
     frames.write_text(frames.read_text(encoding="utf-8") + "fs:Imaginary\n", encoding="utf-8")
     assert main(["expand", "--manifest", manifest, "--all"]) == 3
+    assert pids(root / "load_workspace.log") == []  # the snapshot served
+
+
+def test_stale_selection_without_snapshot_exits_3(root, manifest, built):
+    (root / "workspace" / SNAPSHOT_FILE).unlink()
+    frames = root / "plans" / "selections" / "frames.txt"
+    frames.write_text(frames.read_text(encoding="utf-8") + "fs:Imaginary\n", encoding="utf-8")
+    assert main(["expand", "--manifest", manifest, "--all"]) == 3
+
+
+def test_expand_from_snapshot_never_loads_the_workspace(root, manifest, built, monkeypatch):
+    log_workspace_loads(monkeypatch, root / "load_workspace.log")
+    assert main(["expand", "--manifest", manifest, "--all"]) == 0
+    assert main(["expand", "--manifest", manifest, "--value", "folk:Risk"]) == 0
+    assert pids(root / "load_workspace.log") == []
+
+
+def test_expand_without_snapshot_loads_the_workspace_once(root, manifest, built, monkeypatch):
+    (root / "workspace" / SNAPSHOT_FILE).unlink()
+    log_workspace_loads(monkeypatch, root / "load_workspace.log")
+    assert main(["expand", "--manifest", manifest, "--all"]) == 0
+    assert pids(root / "load_workspace.log") == [str(os.getpid())]
 
 
 def test_detect_duplicate_ids_exits_3(root, manifest, built):

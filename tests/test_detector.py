@@ -363,7 +363,7 @@ def test_tables_match_pattern_match_reference(seed):
         text = " ".join(w.upper() if rng.random() < 0.1 else w for w in tokens) + "."
         for mode, detector in detectors.items():
             graph = detector.analyze(text, f"h{k}")
-            expected = reference_analyze(lexicon, text, f"h{k}", mode)
+            expected = reference_analyze(store, lexicon, text, f"h{k}", mode)
             assert graph.nodes == expected.nodes
             result = detector.detect_values(graph)
             assert result.paths == reference_activation(store, expected)

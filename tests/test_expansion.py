@@ -103,16 +103,11 @@ def test_frame_activation_query_unknown_lemma(expander):
 
 
 def test_lexical_unit_expansion_contains_synsets_and_classes(expander):
-    units = set(expander.lexical_unit_expansion([t(f) for f in RISK_FRAMES]))
-    assert units >= {
-        t("wn:risk-verb-2"),
-        t("wn:gamble-verb-1"),
-        t("wn:venture-verb-3"),
-        t("vn:Risk_94000000"),
-        t("vn:Gamble_70000000"),
-        t("vn:Venture_94100000"),
-    }
-    assert expander.lexical_unit_expansion([]) == []
+    synsets, verb_classes = expander.lexical_unit_split([t(f) for f in RISK_FRAMES])
+    assert set(synsets) >= {t("wn:risk-verb-2"), t("wn:gamble-verb-1"), t("wn:venture-verb-3")}
+    assert verb_classes == [t("vn:Gamble_70000000"), t("vn:Risk_94000000"), t("vn:Venture_94100000")]
+    assert not set(synsets) & set(verb_classes)
+    assert expander.lexical_unit_split([]) == ([], [])
 
 
 def test_factual_expansion_exact_set(expander):

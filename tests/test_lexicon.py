@@ -1,7 +1,7 @@
 import pytest
 
 from folkgraph.lexicon import LexiconError, sense_rank
-from folkgraph.terms import Pattern, Variable
+from folkgraph.terms import Pattern, Term, Variable
 from kb import lexicon_from_turtle, t
 
 RISK_KB = """
@@ -90,26 +90,19 @@ def test_frames_of_sense_matches_bgp(risk):
     assert store.objects(t("wn:risk-noun-1"), t("fg:senseKey")) == []
 
 
-def test_frame_elements_filter_and_partition(risk):
+def test_frame_elements_cover_every_element_type(risk):
     _, lexicon = risk
-    frame = t("fs:RiskySituation")
-    all_elements = lexicon.frame_elements(frame, {"core", "peripheral", "extraThematic"})
-    assert {fe.name for fe in all_elements} == {"Asset", "Situation", "Dangerous_entity"}
-    assert lexicon.frame_elements(frame, set()) == []
-    by_type = [
-        fe for kind in ("core", "peripheral", "extraThematic")
-        for fe in lexicon.frame_elements(frame, {kind})
-    ]
-    assert sorted(fe.id.value for fe in by_type) == sorted(fe.id.value for fe in all_elements)
-    assert lexicon.frame_elements(t("fs:RunRisk"), {"core"}) == []
+    elements = lexicon.frame_elements(t("fs:RiskySituation"))
+    assert {fe.name for fe in elements} == {"Asset", "Situation", "Dangerous_entity"}
+    assert {fe.element_type for fe in elements} == {"core", "peripheral", "extraThematic"}
+    assert [fe.id for fe in elements] == sorted((fe.id for fe in elements), key=Term.key)
+    assert lexicon.frame_elements(t("fs:RunRisk")) == []
 
 
 def test_unknown_frame_rejected(risk):
     _, lexicon = risk
     with pytest.raises(LexiconError, match="unknown frame"):
-        lexicon.frame_elements(t("fs:Missing"), {"core"})
-    with pytest.raises(LexiconError, match="element types"):
-        lexicon.frame_elements(t("fs:RiskySituation"), {"Core"})
+        lexicon.frame_elements(t("fs:Missing"))
 
 
 def test_entry_without_sense_rejected():

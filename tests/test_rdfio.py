@@ -165,6 +165,25 @@ def test_term_rendering_escapes_literals():
     assert term_to_ntriples(lit("5", datatype=EX + "int")) == f'"5"^^<{EX}int>'
 
 
+ESCAPE_SAMPLES = ["naïve “quoted” text", "日本語\u00a0🎲", "\\u0041 is not an escape", "\x0b\x0c\u2028"]
+
+
+@pytest.mark.parametrize("special", sorted(rdfio._UNESCAPES))
+@pytest.mark.parametrize("text", ESCAPE_SAMPLES)
+def test_escaped_literals_read_back(special, text):
+    for value in (special, special * 3, f"{text}{special}{text}", f"{special}{text}{special}"):
+        for term in (lit(value), lit(value, lang="en"), lit(value, datatype=EX + "t")):
+            rendered = term_to_ntriples(term)
+            assert "\n" not in rendered and "\r" not in rendered
+            line = f"<{EX}s> <{EX}p> {rendered} .\n"
+            assert parse_ntriples(line) == [Triple(iri(EX + "s"), iri(EX + "p"), term)]
+
+
+def test_literal_escapes_are_the_unescape_table():
+    value = "".join(rdfio._UNESCAPES) + "é"
+    assert term_to_ntriples(lit(value)) == '"' + "".join(rdfio._UNESCAPES.values()) + 'é"'
+
+
 def test_turtle_serialization_round_trips():
     triples = [
         t("s", "p", "o1"),
@@ -189,6 +208,33 @@ def test_prefix_table_expand_and_compact(tmp_path):
     assert table.expand("<urn:elsewhere>") == iri("urn:elsewhere")
     for value in (EX + "thing", "urn:elsewhere", "http://elsewhere.org/x", "ex:thing", "plain"):
         assert table.expand(table.compact(value)) == iri(value)
+
+
+def _compact_by_scan(mapping: dict[str, str], value: str) -> str:
+    """Compaction as a scan of every namespace, keeping the first of the longest matches."""
+    best, best_prefix = "", None
+    for prefix, namespace in mapping.items():
+        if value.startswith(namespace) and len(namespace) > len(best):
+            best, best_prefix = namespace, prefix
+    if best_prefix is None:
+        return value if ":" not in value or value.split(":", 1)[1].startswith("//") else f"<{value}>"
+    return f"{best_prefix}:{value[len(best):]}"
+
+
+# Pieces that make namespaces overlap (one a prefix of another, or equal under
+# two prefixes), locals after "//", colons, empty namespaces and regex metacharacters.
+iri_pieces = ["http:", "//", "urn:", "ex", "a", "b/", "#", ":", ".*", "(", "é", ""]
+iri_text = st.lists(st.sampled_from(iri_pieces), max_size=4).map("".join)
+
+
+@settings(max_examples=300)
+@given(st.dictionaries(st.sampled_from(["ex", "a", "vn", "vb", "x1", ""]), iri_text, max_size=6), st.data())
+def test_prefix_compaction_agrees_with_a_scan_of_every_namespace(mapping, data):
+    table = PrefixTable(mapping)
+    namespaces = sorted(mapping.values()) + [""]
+    values = data.draw(st.lists(st.tuples(st.sampled_from(namespaces), iri_text).map("".join), max_size=8))
+    for value in values + values:  # the second time from the table's memory
+        assert table.compact(value) == _compact_by_scan(mapping, value)
 
 
 def test_prefix_table_rejects_unknown_prefix():

@@ -1,5 +1,6 @@
-"""The detector snapshot build-kb writes: detect from it equals detect from the
-graph files, and a snapshot that does not match the workspace is never used."""
+"""The snapshot build-kb writes: detect and expand from it equal detect and
+expand from the graph files, a snapshot that does not match the workspace is
+never used, and detect decodes only its own section."""
 
 import gc
 import json
@@ -16,10 +17,12 @@ from hypothesis import strategies as st
 
 from folkgraph import manifest as workspace_io
 from folkgraph.cli import main
-from folkgraph.manifest import SNAPSHOT_FILE, WORKSPACE_ENV, open_detector
+from folkgraph.detector import TABLE_PREDICATES
+from folkgraph.expansion import OBJECT_PREDICATES, SUBJECT_PREDICATES
+from folkgraph.manifest import SNAPSHOT_FILE, WORKSPACE_ENV, load_workspace, open_detector, open_expander
 from folkgraph.rdfio import to_ntriples
-from folkgraph.terms import Term
-from folkgraph.vocab import NAMESPACES, TRIGGERS
+from folkgraph.terms import IRI, Term, Triple
+from folkgraph.vocab import NAMESPACES, PREFIXES, TRIGGERS
 
 from kb import LEXICON_GRAPH, MINI_SENTENCES, t, write_mini_pipeline
 from test_cli import write_sentences
@@ -38,12 +41,16 @@ def detect(manifest, inputs, out, jobs="1"):
     return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
 
 
-def uses_snapshot(workspace, monkeypatch):
-    """Whether open_detector takes the snapshot path (it never calls load_workspace then)."""
+def uses_snapshot(workspace, monkeypatch, expander=False):
+    """Whether open_detector, or open_expander if ``expander`` is set, takes the
+    snapshot path (it never calls load_workspace then)."""
     calls = []
     original = workspace_io.load_workspace
     monkeypatch.setattr(workspace_io, "load_workspace", lambda ws: calls.append(ws) or original(ws))
-    open_detector(workspace, "firstSense")
+    if expander:
+        open_expander(workspace, PREFIXES)
+    else:
+        open_detector(workspace, "firstSense")
     monkeypatch.setattr(workspace_io, "load_workspace", original)
     return not calls
 
@@ -180,19 +187,28 @@ def test_fixture_corpus_detects_the_same_from_the_snapshot(tmp_path, monkeypatch
     assert detect(manifest, inputs, tmp_path / "b") == from_snapshot
 
 
-def _write_random_project(root: Path, rng: random.Random) -> tuple[Path, list[str]]:
+def _write_random_project(root: Path, rng: random.Random, hops: bool = False) -> tuple[Path, list[str]]:
     """A project over ``_detection_kb``: its lexical and affect graphs and one
     trigger graph as base graphs, the other (overlapping) trigger graph as
-    expansion output, one file per value."""
+    expansion output, one file per value. With ``hops``, one more base graph
+    holds random edges of every predicate the expander reads, between IRIs
+    of the other graphs and a few new ones."""
     store, words = _detection_kb(rng)
     graphs = {name: graph.triples for name, graph in store.graphs.items()}
     expansion = graphs.pop(t("g:triggers-b"))
+    if hops:
+        nodes = sorted({term for g in graphs.values() for tr in g for term in tr if term.kind == IRI}, key=Term.key)
+        nodes += [t(f"cn:new{i}") for i in range(3)]
+        predicates = sorted({*OBJECT_PREDICATES, *SUBJECT_PREDICATES}, key=Term.key)
+        graphs[t("g:hops")] = {
+            Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(nodes)) for _ in range(rng.randint(0, 40))
+        }
     (root / "kb").mkdir(parents=True)
     (root / "prefixes.cfg").write_text("".join(f"{p} = {ns}\n" for p, ns in NAMESPACES.items()), encoding="utf-8")
     lines = ["prefixes = prefixes.cfg\n"]
     for i, (name, triples) in enumerate(graphs.items()):
         (root / "kb" / f"g{i}.nt").write_text(to_ntriples(triples), encoding="utf-8")
-        role = "lexical" if name == LEXICON_GRAPH else "triggers"
+        role = "lexical" if name == LEXICON_GRAPH else "values" if name == t("g:hops") else "triggers"
         lines.append(f"graph = kb/g{i}.nt | ntriples | <{name.value}> | {role}\n")
     (root / "manifest.cfg").write_text("".join(lines), encoding="utf-8")
     assert main(["build-kb", "--manifest", str(root / "manifest.cfg")]) == 0
@@ -238,3 +254,107 @@ def test_open_detector_keeps_gc_state(mini, gc_enabled, keep_snapshot):
         assert gc.isenabled() is gc_enabled
     finally:
         gc.enable() if was_enabled else gc.disable()
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_random_kb_snapshot_tables_equal_the_rebuilt_store(seed):
+    rng = random.Random(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        workspace = Path(tmp) / "workspace"
+        _write_random_project(Path(tmp), rng, hops=True)
+        _, tables, expander = workspace_io._load_snapshot(workspace, expander=True)
+        store, _, _ = load_workspace(workspace)
+        store.freeze()
+        triples = {tr for graph in store.graphs.values() for tr in graph.triples}
+        for predicate in TABLE_PREDICATES:
+            subjects = {tr.s for tr in triples if tr.p == predicate}
+            assert tables[predicate] == {s: tuple(store.objects(s, predicate)) for s in subjects}
+        assert sorted(expander.objects, key=Term.key) == sorted(OBJECT_PREDICATES, key=Term.key)
+        for predicate in OBJECT_PREDICATES:
+            subjects = {tr.s for tr in triples if tr.p == predicate}
+            assert expander.objects[predicate] == {s: tuple(store.objects(s, predicate)) for s in subjects}
+        assert sorted(expander.subjects, key=Term.key) == sorted(SUBJECT_PREDICATES, key=Term.key)
+        for predicate in SUBJECT_PREDICATES:
+            objects = {tr.o for tr in triples if tr.p == predicate}
+            assert expander.subjects[predicate] == {o: tuple(store.subjects(predicate, o)) for o in objects}
+
+
+# -- expand from the snapshot ---------------------------------------------------------
+
+
+@pytest.fixture(params=["mini", "fixtures"])
+def project(request, tmp_path):
+    """A built project: the mini pipeline or a copy of the shipped fixtures."""
+    if request.param == "mini":
+        manifest = write_mini_pipeline(tmp_path)
+    else:
+        shutil.copytree(FIXTURES, tmp_path / "fixtures", ignore=shutil.ignore_patterns("workspace"))
+        manifest = tmp_path / "fixtures" / "manifest.cfg"
+    assert main(["build-kb", "--manifest", str(manifest)]) == 0
+    return manifest, manifest.parent / "workspace"
+
+
+def expand(manifest):
+    """Run ``expand --all``; return every file of triggers/ and reports/ by its path in the workspace."""
+    assert main(["expand", "--manifest", str(manifest), "--all"]) == 0
+    workspace = manifest.parent / "workspace"
+    return {
+        str(path.relative_to(workspace)): path.read_bytes()
+        for folder in ("triggers", "reports")
+        for path in sorted((workspace / folder).iterdir())
+    }
+
+
+def _older_version(data):
+    magic, body = data.split(b"\n", 1)
+    version, cache_tag, key, payload = marshal.loads(body)
+    return magic + b"\n" + marshal.dumps((version - 1, cache_tag, key, payload))
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        pytest.param(lambda path: path.unlink(), id="deleted"),
+        pytest.param(lambda path: path.write_bytes(path.read_bytes()[: path.stat().st_size // 2]), id="truncated"),
+        pytest.param(lambda path: path.write_bytes(_older_version(path.read_bytes())), id="older-version"),
+    ],
+)
+def test_expand_without_a_usable_snapshot_writes_the_same(project, monkeypatch, change):
+    manifest, workspace = project
+    assert uses_snapshot(workspace, monkeypatch, expander=True)
+    from_snapshot = expand(manifest)
+    assert any(name.startswith("triggers/") for name in from_snapshot)
+    change(workspace / SNAPSHOT_FILE)
+    assert not uses_snapshot(workspace, monkeypatch, expander=True)
+    assert expand(manifest) == from_snapshot
+
+
+def test_expand_sees_a_graph_edited_after_build_kb(project, monkeypatch):
+    manifest, workspace = project
+    before = expand(manifest)
+    edge = f"<{NAMESPACES['pb']}edit.01> <{NAMESPACES['skos']}closeMatch> <{NAMESPACES['fs']}RunRisk> .\n"
+    graph = workspace / "graphs" / "g_lexicon.nt"
+    graph.write_text(graph.read_text(encoding="utf-8") + edge, encoding="utf-8")
+    assert not uses_snapshot(workspace, monkeypatch, expander=True)
+    edited = expand(manifest)
+    assert edited != before
+    assert f"<{NAMESPACES['pb']}edit.01>".encode() in edited["triggers/folk_Risk.nt"]
+    assert b'"pb:edit.01"' in edited["reports/folk_Risk.json"]
+    # The same edit made to the source graph and built: expand now reads it from a fresh snapshot.
+    source = manifest.parent / "kb" / "lexicon.ttl"
+    source.write_text(source.read_text(encoding="utf-8") + edge, encoding="utf-8")
+    assert main(["build-kb", "--manifest", str(manifest)]) == 0
+    assert uses_snapshot(workspace, monkeypatch, expander=True)
+    assert expand(manifest) == edited
+
+
+def test_open_detector_decodes_only_its_own_section(mini, monkeypatch):
+    _, workspace, _ = mini
+    decoded = []
+    original = workspace_io._decode_expander
+    monkeypatch.setattr(workspace_io, "_decode_expander", lambda *args: decoded.append(args) or original(*args))
+    assert uses_snapshot(workspace, monkeypatch)
+    assert decoded == []
+    assert uses_snapshot(workspace, monkeypatch, expander=True)
+    assert len(decoded) == 1

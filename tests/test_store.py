@@ -122,6 +122,10 @@ def test_one_hop_reads_agree_with_brute_force(seed):
         for b in brute_force_match(graphs, [Pattern(v("s"), probe.p, v("o"))]):
             expected.setdefault(b["s"], []).append(b["o"])
         assert {s: list(o) for s, o in store.objects_by_subject(probe.p).items()} == expected
+        inverse: dict = {}
+        for b in brute_force_match(graphs, [Pattern(v("s"), probe.p, v("o"))]):  # sorted by o, then s
+            inverse.setdefault(b["o"], []).append(b["s"])
+        assert {o: list(s) for o, s in store.subjects_by_object(probe.p).items()} == inverse
 
 
 @st.composite
