@@ -52,12 +52,12 @@ class DetectorError(ValueError):
     pass
 
 
-# Predicate -> (subject -> objects, or object -> subjects), each tuple in Term.key order.
+# Predicate -> (subject -> objects, or object -> subjects), each tuple in term order.
 Tables = dict[Term, dict[Term, tuple[Term, ...]]]
 
 
 def lookup_tables(store: TripleStore) -> Tables:
-    """Subject -> objects in Term.key order, for each of ``TABLE_PREDICATES``."""
+    """Subject -> objects in term order, for each of ``TABLE_PREDICATES``."""
     return {predicate: store.objects_by_subject(predicate) for predicate in TABLE_PREDICATES}
 
 
@@ -67,7 +67,7 @@ def merge_tables(tables: Tables, extra: Tables) -> None:
         into = tables[predicate]
         for subject, objects in rows.items():
             have = into.get(subject)
-            into[subject] = objects if have is None else tuple(sorted({*have, *objects}, key=Term.key))
+            into[subject] = objects if have is None else tuple(sorted({*have, *objects}))
 
 
 @dataclass(frozen=True)
@@ -156,7 +156,7 @@ class DetectionResult:
 
     @property
     def values(self) -> list[Term]:
-        return sorted({p.value for p in self.paths}, key=Term.key)
+        return sorted({p.value for p in self.paths})
 
     def triples(self) -> set[Triple]:
         """Full per-sentence graph: annotations, activations, justifications."""
@@ -286,7 +286,7 @@ class Detector:
 
     def detect_values(self, graph: SentenceGraph) -> DetectionResult:
         """Direct trigger edges on each node entity, then the two-hop closure
-        through the frames the entity evokes; each list in Term.key order."""
+        through the frames the entity evokes; each list in term order."""
         paths = []
         for index, node in enumerate(graph.nodes):
             for entity in node.entities():

@@ -9,7 +9,7 @@ records candidates for later curation without emitting.
 Query dependencies: frame results feed the frame-element, lexical-unit, and
 close-match queries; concept results feed the factual query; lexical-unit
 synsets feed the YAGO query, which is terminal. Candidate and accepted lists
-are kept in lexicographic IRI order so runs diff cleanly.
+are kept in term order (``terms``) so runs diff cleanly.
 
 Every query is a one-hop lookup: objects of ``OBJECT_PREDICATES`` by subject
 and subjects of ``SUBJECT_PREDICATES`` by object. ``Expander`` reads them from
@@ -40,7 +40,7 @@ SUBJECT_PREDICATES = (vocab.EVOKES, vocab.SENSE_KEY, vocab.SKOS_CLOSE_MATCH, *vo
 
 class ExpanderTables(NamedTuple):
     """Predicate -> subject -> objects, and predicate -> object -> subjects,
-    each tuple in Term.key order."""
+    each tuple in term order."""
 
     objects: dict[Term, dict[Term, tuple[Term, ...]]]
     subjects: dict[Term, dict[Term, tuple[Term, ...]]]
@@ -162,7 +162,7 @@ def parse_plan(path: str | Path, prefixes: PrefixTable) -> ExpansionPlan:
 
 
 def _sorted_terms(terms) -> list[Term]:
-    return sorted(set(terms), key=Term.key)
+    return sorted(set(terms))
 
 
 def lookup_tables(store: TripleStore, objects: dict | None = None) -> ExpanderTables:
@@ -234,7 +234,7 @@ class Expander:
         return self.lexicon.frame_elements(frame)
 
     def lexical_unit_split(self, frames: list[Term]) -> tuple[list[Term], list[Term]]:
-        """The synsets and the verb classes that ``frames`` reach, each in Term.key order."""
+        """The synsets and the verb classes that ``frames`` reach, each in term order."""
         evokers = _sorted_terms(
             s
             for frame in frames
@@ -273,7 +273,8 @@ class Expander:
         if path is None:
             return QueryOutcome(candidates, [], "propose")
         accepted = parse_selection(path, self.prefixes)
-        stale = [a for a in accepted if a not in candidates]
+        known = set(candidates)
+        stale = [a for a in accepted if a not in known]
         if stale:
             names = ", ".join(t.value for t in stale)
             raise StaleSelectionError(
@@ -302,8 +303,8 @@ class Expander:
         queries["lexicalUnit"] = self._apply_selection(
             plan, "lexicalUnit", _sorted_terms(synsets + verb_classes)
         )
-        accepted_units = queries["lexicalUnit"].accepted
-        accepted_synsets = [u for u in accepted_units if u in set(synsets)]
+        synset_set = set(synsets)
+        accepted_synsets = [u for u in queries["lexicalUnit"].accepted if u in synset_set]
 
         queries["yago"] = self._apply_selection(plan, "yago", self.yago_expansion(accepted_synsets))
         queries["closeMatch"] = self._apply_selection(
@@ -323,7 +324,7 @@ class Expander:
         )
         queries["factual"] = self._apply_selection(plan, "factual", factual_candidates)
 
-        edges = self._emit_edges(plan.value, queries, set(synsets))
+        edges = self._emit_edges(plan.value, queries, synset_set)
         return ExpansionReport(plan.value, queries, edges)
 
     def _emit_edges(self, value, queries, synset_set) -> list[TriggerEdge]:
@@ -353,4 +354,4 @@ class Expander:
         return edges
 
     def graph_triples(self, report: ExpansionReport) -> list[Triple]:
-        return sorted({t for edge in report.edges for t in edge.triples()}, key=Triple.key)
+        return sorted({t for edge in report.edges for t in edge.triples()})

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from itertools import chain
 
 from . import vocab
 from .store import NamedGraph, TripleStore
@@ -105,10 +106,8 @@ class Lexicon:
             self._index_entry(graphs, triple.s)
         for triple in self._scan(graphs, p=vocab.RDF_TYPE, o=vocab.FRAME):
             self._index_frame(graphs, triple.s)
-        for entries in self._by_lemma.values():
-            entries.sort(key=lambda e: (_POS_ORDER[e.pos], e.node.key()))
-        for entries in self._by_form.values():
-            entries.sort(key=lambda e: (_POS_ORDER[e.pos], e.node.key()))
+        for entries in chain(self._by_lemma.values(), self._by_form.values()):
+            entries.sort(key=lambda e: (_POS_ORDER[e.pos], e.node))
         self._multiwords.sort(key=lambda words: (-len(words), words))
         self._check_same_as_symmetry(graphs)
 
@@ -118,10 +117,10 @@ class Lexicon:
         pos = self._literal(node, objects, vocab.POS, "pos")
         if pos not in _POS_ORDER:
             raise LexiconError(f"{node.value}: unknown pos {pos!r}")
-        senses = sorted(objects.get(vocab.SENSE, ()), key=lambda s: (sense_rank(s), s.key()))
+        senses = sorted(objects.get(vocab.SENSE, ()), key=lambda s: (sense_rank(s), s))
         if not senses:
             raise LexiconError(f"{node.value}: entry has no senses")
-        anchors = sorted(objects.get(vocab.CONCEPT_ANCHOR, ()), key=Term.key)
+        anchors = sorted(objects.get(vocab.CONCEPT_ANCHOR, ()))
         entry = LexicalEntry(node, lemma, pos, tuple(senses), tuple(anchors))
         self._by_lemma.setdefault(lemma, []).append(entry)
         for form in objects.get(vocab.FORM, ()):
@@ -132,8 +131,7 @@ class Lexicon:
     def _index_frame(self, graphs: list[NamedGraph], node: Term) -> None:
         elements = []
         names = set()
-        for triple in sorted(self._scan(graphs, s=node, p=vocab.ELEMENT), key=lambda t: t.o.key()):
-            fe = triple.o
+        for fe in sorted(t.o for t in self._scan(graphs, s=node, p=vocab.ELEMENT)):
             objects = self._by_predicate(graphs, fe)
             name = self._literal(fe, objects, vocab.RDFS_LABEL, "element label")
             element_type = self._literal(fe, objects, vocab.ELEMENT_TYPE, "element type")
@@ -147,7 +145,7 @@ class Lexicon:
 
     def _check_same_as_symmetry(self, graphs: list[NamedGraph]) -> None:
         links = {(t.s, t.o) for t in self._scan(graphs, p=vocab.OWL_SAME_AS)}
-        for s, o in sorted(links, key=lambda pair: (pair[0].key(), pair[1].key())):
+        for s, o in sorted(links):
             if (o, s) not in links:
                 raise LexiconError(f"sameAs is asymmetric: {s.value} -> {o.value} has no inverse")
 
@@ -168,14 +166,14 @@ class Lexicon:
         seen = {e.node: e for e in self._by_lemma.get(form, [])}
         for entry in self._by_form.get(form, []):
             seen.setdefault(entry.node, entry)
-        return sorted(seen.values(), key=lambda e: (_POS_ORDER[e.pos], e.node.key()))
+        return sorted(seen.values(), key=lambda e: (_POS_ORDER[e.pos], e.node))
 
     def multiwords(self) -> list[tuple[str, ...]]:
         """Multiword lemmas as token tuples, longest first."""
         return list(self._multiwords)
 
     def frame_elements(self, frame: Term) -> list[FrameElement]:
-        """The frame's elements, of every element type, in Term.key order of their ids."""
+        """The frame's elements, of every element type, in term order of their ids."""
         if frame not in self._frames:
             raise LexiconError(f"unknown frame: {frame.value}")
         return list(self._frames[frame])

@@ -69,7 +69,7 @@ GRAPH_FORMATS = ("ntriples", "turtle")
 WORKSPACE_ENV = "FOLKGRAPH_WORKSPACE"
 SNAPSHOT_FILE = "detector.snapshot"
 _SNAPSHOT_MAGIC = b"folkgraph detector snapshot\n"
-_SNAPSHOT_VERSION = 2  # bump whenever the encoded tables change shape or meaning
+_SNAPSHOT_VERSION = 3  # bump whenever the encoded tables change shape or meaning
 
 
 class ManifestError(ValueError):
@@ -201,7 +201,7 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
         if manifest.values_csv is not None:
             model = build_model(load_value_manifest(manifest.values_csv, manifest.prefixes))
             value_count = len(model.values)
-            for name, triples in sorted(model.module_graphs().items(), key=lambda kv: kv[0].key()):
+            for name, triples in sorted(model.module_graphs().items()):
                 store.extend(name, triples)
                 entries.append({"name": name.value, "role": "values"})
 
@@ -243,8 +243,20 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
 # -- the detector snapshot ----------------------------------------------------------
 
 
+_CHUNK_BYTES = 1 << 20
+
+
 def _checksum(name: str, data: bytes) -> tuple[str, int, int]:
     return (name, len(data), zlib.crc32(data))
+
+
+def _file_checksum(workspace: Path, name: str) -> tuple[str, int, int]:
+    """``_checksum`` of a workspace file, read ``_CHUNK_BYTES`` at a time."""
+    crc = 0
+    with open(workspace / name, "rb") as f:
+        while chunk := f.read(_CHUNK_BYTES):
+            crc = zlib.crc32(chunk, crc)
+        return (name, f.tell(), crc)
 
 
 def _workspace_key(workspace: Path) -> tuple | None:
@@ -253,7 +265,7 @@ def _workspace_key(workspace: Path) -> tuple | None:
         data = (workspace / "meta.json").read_bytes()
         key = [_checksum("meta.json", data)]
         for entry in json.loads(data)["graphs"]:
-            key.append(_checksum(entry["file"], (workspace / entry["file"]).read_bytes()))
+            key.append(_file_checksum(workspace, entry["file"]))
     except (OSError, ValueError, KeyError, TypeError):
         return None
     return tuple(key)

@@ -217,34 +217,44 @@ class _Scanner:
             raise self.error("empty language tag")
         return "".join(chars)
 
+    def read_literal(self, read_datatype) -> Term:
+        """A quoted string and its ``@`` tag or its ``^^`` datatype, read by ``read_datatype``.
+        An empty datatype IRI is an error: it would be written as no datatype."""
+        value = self.read_string()
+        if self.peek() == "@":
+            return lit(value, lang=self.read_langtag())
+        if self.peek() != "^":
+            return lit(value)
+        self.expect("^")
+        self.expect("^")
+        line, column = self.line, self.col
+        datatype = read_datatype(self).value
+        if not datatype:
+            raise ParseError("empty datatype IRI", line, column)
+        return lit(value, datatype=datatype)
 
-def _read_nt_term(sc: _Scanner, resolve_dt) -> Term:
+
+def _read_nt_term(sc: _Scanner) -> Term:
     ch = sc.peek()
     if ch == "<":
         return sc.read_iriref()
     if ch == "_":
         return sc.read_blank()
     if ch == '"':
-        value = sc.read_string()
-        if sc.peek() == "^":
-            sc.expect("^")
-            sc.expect("^")
-            return lit(value, datatype=resolve_dt(sc).value)
-        if sc.peek() == "@":
-            return lit(value, lang=sc.read_langtag())
-        return lit(value)
+        return sc.read_literal(_Scanner.read_iriref)
     if ch == "":
         raise sc.error("unexpected end of input")
     raise sc.error(f"unexpected character {ch!r}")
 
 
 # One N-Triples line as the pipeline writes it: three IRIs, or two IRIs and a
-# literal without escapes. Each character class is the scanner's or narrower,
-# so a line this matches reads the same either way.
-_IRI_BODY = r'<([^ \t\n\r<>"{}|^`]*)>'
+# literal without escapes or an empty datatype IRI. Each character class is the
+# scanner's or narrower, so a line this matches reads the same either way.
+_IRI_CHAR = r'[^ \t\n\r<>"{}|^`]'
+_IRI_BODY = rf"<({_IRI_CHAR}*)>"
 _NT_LINE = re.compile(
     rf'{_IRI_BODY}[ \t]*{_IRI_BODY}[ \t]*'
-    rf'(?:{_IRI_BODY}|"([^"\\\n]*)"(?:\^\^{_IRI_BODY}|@([A-Za-z0-9-]+))?)'
+    rf'(?:{_IRI_BODY}|"([^"\\\n]*)"(?:\^\^<({_IRI_CHAR}+)>|@([A-Za-z0-9-]+))?)'
     r"[ \t]*\.[ \t\r]*"
 )
 
@@ -287,13 +297,13 @@ def _scan_ntriples(text: str) -> list[Triple]:
         sc.skip_space()
         if sc.at_end():
             return triples
-        s = _read_nt_term(sc, lambda scanner: scanner.read_iriref())
+        s = _read_nt_term(sc)
         if s.kind == LITERAL:
             raise sc.error("literal in subject position")
         sc.skip_space()
         p = sc.read_iriref()
         sc.skip_space()
-        o = _read_nt_term(sc, lambda scanner: scanner.read_iriref())
+        o = _read_nt_term(sc)
         sc.skip_space()
         sc.expect(".")
         triples.append(Triple(s, p, o))
@@ -333,14 +343,7 @@ def _read_turtle_iri(sc: _Scanner, prefixes: dict[str, str]) -> Term:
 def _read_turtle_object(sc: _Scanner, prefixes: dict[str, str]) -> Term:
     ch = sc.peek()
     if ch == '"':
-        value = sc.read_string()
-        if sc.peek() == "^":
-            sc.expect("^")
-            sc.expect("^")
-            return lit(value, datatype=_read_turtle_iri(sc, prefixes).value)
-        if sc.peek() == "@":
-            return lit(value, lang=sc.read_langtag())
-        return lit(value)
+        return sc.read_literal(lambda scanner: _read_turtle_iri(scanner, prefixes))
     if ch == "_":
         return sc.read_blank()
     if ch in "([":
@@ -443,7 +446,7 @@ def term_to_ntriples(term: Term) -> str:
 def to_ntriples(triples) -> str:
     lines = [
         f"{term_to_ntriples(t.s)} {term_to_ntriples(t.p)} {term_to_ntriples(t.o)} ."
-        for t in sorted(set(triples), key=Triple.key)
+        for t in sorted(set(triples))
     ]
     return "".join(line + "\n" for line in lines)
 
@@ -463,7 +466,7 @@ def _valid_local(local: str) -> bool:
 
 def to_turtle(triples, prefixes: PrefixTable) -> str:
     """Serialize with subject/predicate grouping. Deterministic like to_ntriples."""
-    triples = sorted(set(triples), key=Triple.key)
+    triples = sorted(set(triples))
     used = set()
 
     def render(term: Term) -> str:
@@ -477,12 +480,11 @@ def to_turtle(triples, prefixes: PrefixTable) -> str:
         by_subject.setdefault(t.s, {}).setdefault(t.p, []).append(t.o)
 
     blocks = []
-    for subject in sorted(by_subject, key=Term.key):
+    for subject, preds in by_subject.items():  # in term order, as the sorted triples were added
         lines = []
-        preds = by_subject[subject]
-        for predicate in sorted(preds, key=Term.key):
+        for predicate, objects in preds.items():
             pred_text = "a" if predicate == RDF_TYPE else render(predicate)
-            objs = ", ".join(render(o) for o in preds[predicate])
+            objs = ", ".join(render(o) for o in objects)
             lines.append(f"    {pred_text} {objs}")
         blocks.append(render(subject) + "\n" + " ;\n".join(lines) + " .\n")
 

@@ -117,13 +117,13 @@ class TripleStore:
         return sum(len(g) for g in self.graphs.values())
 
     def objects(self, s: Term, p: Term) -> list[Term]:
-        """Objects of (s, p) over every graph, deduplicated and in Term.key
-        order: the bindings of ``match([Pattern(s, p, Variable("o"))])``."""
-        return sorted({t.o for g in self.graphs.values() for t in g.candidates(s, p, None)}, key=Term.key)
+        """Objects of (s, p) over every graph, deduplicated and in term order:
+        the bindings of ``match([Pattern(s, p, Variable("o"))])``."""
+        return sorted({t.o for g in self.graphs.values() for t in g.candidates(s, p, None)})
 
     def subjects(self, p: Term, o: Term) -> list[Term]:
         """Subjects of (p, o) over every graph, like ``objects``."""
-        return sorted({t.s for g in self.graphs.values() for t in g.candidates(None, p, o)}, key=Term.key)
+        return sorted({t.s for g in self.graphs.values() for t in g.candidates(None, p, o)})
 
     def objects_by_subject(self, p: Term) -> dict[Term, tuple[Term, ...]]:
         """Subject -> ``objects(subject, p)`` for every subject of ``p``, as tuples."""
@@ -197,7 +197,7 @@ class TripleStore:
 
 
 def _grouped(pairs) -> dict[Term, tuple[Term, ...]]:
-    """Each first term -> the distinct second terms paired with it, in Term.key order."""
+    """Each first term -> the distinct second terms paired with it, in term order."""
     found: dict[Term, set[Term]] = {}
     for key, value in pairs:
         values = found.get(key)
@@ -205,20 +205,9 @@ def _grouped(pairs) -> dict[Term, tuple[Term, ...]]:
             found[key] = {value}
         else:
             values.add(value)
-    return {
-        key: tuple(sorted(values, key=Term.key)) if len(values) > 1 else (*values,) for key, values in found.items()
-    }
+    return {key: tuple(sorted(values)) if len(values) > 1 else (*values,) for key, values in found.items()}
 
 
 def _unique_sorted(bindings: list[Binding]) -> list[Binding]:
-    def key(b: Binding):
-        return tuple((name, b[name].key()) for name in sorted(b))
-
-    seen = set()
-    out = []
-    for b in sorted(bindings, key=key):
-        k = key(b)
-        if k not in seen:
-            seen.add(k)
-            out.append(b)
-    return out
+    unique = {tuple(sorted(b.items())): b for b in bindings}
+    return [unique[items] for items in sorted(unique)]

@@ -1,13 +1,12 @@
 """Graph term model: IRIs, literals, blank nodes, triples, and query patterns.
 
-Literals carry an optional datatype IRI or language tag, never both.
-Terms and triples are tuples, so they hash and compare at C speed and key the
-store indexes directly. A tuple compares equal to a plain tuple of the same
-fields and orders field by field, so always sort with ``key=Term.key`` or
-``key=Triple.key``. ``Triple.key`` is one flat 12-tuple, the three
-``Term.key`` tuples end to end: every ``Term.key`` has four fields, so it
-orders exactly like the nested ``(s.key(), p.key(), o.key())``, and a sort
-compares flat tuples about twice as fast.
+Literals carry an optional datatype IRI or language tag, never both; an
+absent one is stored as ``""``. Terms and triples are tuples, so they hash and
+compare at C speed and key the store indexes directly. A term's fields are
+``(rank, value, datatype, lang)``, ``rank`` being the index of its kind in
+``(IRI, BLANK, LITERAL)``, so the tuple order is the RDF term order: IRIs, then
+blank nodes, then literals, each by value, datatype and language. A plain
+``sorted()`` of terms, or of triples, gives that order.
 """
 
 from __future__ import annotations
@@ -19,30 +18,32 @@ IRI = "iri"
 LITERAL = "literal"
 BLANK = "blank"
 
-_KIND_ORDER = {IRI: 0, BLANK: 1, LITERAL: 2}
+_KINDS = (IRI, BLANK, LITERAL)  # in term order
+_RANK = {kind: rank for rank, kind in enumerate(_KINDS)}
 
 
 class _TermFields(NamedTuple):
-    kind: str
+    rank: int
     value: str
-    datatype: str | None = None
-    lang: str | None = None
+    datatype: str = ""
+    lang: str = ""
 
 
 class Term(_TermFields):
     __slots__ = ()
 
     def __new__(cls, kind: str, value: str, datatype: str | None = None, lang: str | None = None):
-        if kind not in _KIND_ORDER:
+        if kind not in _RANK:
             raise ValueError(f"unknown term kind: {kind!r}")
         if kind != LITERAL and (datatype or lang):
             raise ValueError("datatype/lang only valid on literals")
         if datatype and lang:
             raise ValueError("literal cannot carry both datatype and language tag")
-        return tuple.__new__(cls, (kind, value, datatype, lang))
+        return tuple.__new__(cls, (_RANK[kind], value, datatype or "", lang or ""))
 
-    def key(self) -> tuple:
-        return (_KIND_ORDER[self.kind], self.value, self.datatype or "", self.lang or "")
+    @property
+    def kind(self) -> str:
+        return _KINDS[self.rank]
 
 
 def iri(value: str) -> Term:
@@ -61,9 +62,6 @@ class Triple(NamedTuple):
     s: Term
     p: Term
     o: Term
-
-    def key(self) -> tuple:
-        return self.s.key() + self.p.key() + self.o.key()
 
 
 @dataclass(frozen=True, slots=True)

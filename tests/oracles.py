@@ -51,7 +51,7 @@ def brute_force_match(graphs: dict[Term, set[Triple]], patterns: list[Pattern]) 
         ]
 
     def key(b: Binding):
-        return tuple((name, b[name].key()) for name in sorted(b))
+        return tuple((name, b[name]) for name in sorted(b))
 
     unique = {key(b): b for b in results}
     return [unique[k] for k in sorted(unique)]
@@ -338,9 +338,9 @@ def _signatures(triples: set[Triple]) -> dict[Term, tuple]:
             inc = []
             for t in triples:
                 if t.s == node:
-                    out.append((t.p.key(), _color_of(t.o, colors)))
+                    out.append((t.p, _color_of(t.o, colors)))
                 if t.o == node:
-                    inc.append((t.p.key(), _color_of(t.s, colors)))
+                    inc.append((t.p, _color_of(t.s, colors)))
             nxt[node] = (tuple(sorted(out)), tuple(sorted(inc)))
         if nxt == colors:
             break
@@ -351,7 +351,7 @@ def _signatures(triples: set[Triple]) -> dict[Term, tuple]:
 def _color_of(term: Term, colors: dict[Term, tuple]):
     if term.kind == BLANK:
         return ("blank", colors[term])
-    return ("ground", term.key())
+    return ("ground", term)
 
 
 def _rename(t: Triple, mapping: dict[Term, Term]) -> Triple:

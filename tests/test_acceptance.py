@@ -83,7 +83,7 @@ def test_1_risk_expansion_queries(pipeline, capsys):
 
     start = time.monotonic()
     frames = set(expander.frame_activation_query(Seed("risk")))
-    synsets, verb_classes = expander.lexical_unit_split(sorted(frames, key=Term.key))
+    synsets, verb_classes = expander.lexical_unit_split(sorted(frames))
     units = set(synsets + verb_classes)
     facts = set(expander.factual_expansion_query(c("cn:risk")))
     elapsed = time.monotonic() - start

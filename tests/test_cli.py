@@ -198,6 +198,21 @@ def test_missing_graph_file_exits_2(root, manifest):
     assert main(["build-kb", "--manifest", manifest]) == 2
 
 
+@pytest.mark.parametrize("graph", ["lexicon.ttl", "extra.nt"])
+def test_empty_datatype_iri_exits_2(root, manifest, capsys, graph):
+    line = '<urn:x:s> <urn:x:p> "x"^^<> .\n'
+    if graph == "lexicon.ttl":
+        path = root / "kb" / graph
+        path.write_text(path.read_text(encoding="utf-8") + line, encoding="utf-8")
+    else:
+        (root / "kb" / graph).write_text(line, encoding="utf-8")
+        with open(manifest, "a", encoding="utf-8") as f:
+            f.write("graph = kb/extra.nt | ntriples | <urn:x:extra> | values\n")
+    assert main(["build-kb", "--manifest", manifest]) == 2
+    assert "empty datatype IRI" in capsys.readouterr().err
+    assert not (root / "workspace" / "meta.json").exists()
+
+
 def test_expand_before_build_exits_2(root, manifest):
     assert main(["expand", "--manifest", manifest, "--all"]) == 2
 

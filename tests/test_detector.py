@@ -9,7 +9,7 @@ from folkgraph.detector import Detector, DetectorError, StanceJudgment
 from folkgraph.lexicon import Lexicon
 from folkgraph.rdfio import to_ntriples
 from folkgraph.store import TripleStore
-from folkgraph.terms import Term, Triple, lit
+from folkgraph.terms import Triple, lit
 from folkgraph.vocab import (
     ACTIVATES,
     AFFECT_POLARITY,
@@ -304,9 +304,9 @@ def _detection_kb(rng: random.Random) -> tuple[TripleStore, list[str]]:
     store and the words and multiword phrases sentences are drawn from."""
     lexical = random_lexical_kb(rng)
     lemmas = sorted({tr.o.value for tr in lexical if tr.p == LEMMA})
-    senses = sorted({tr.o for tr in lexical if tr.p == SENSE}, key=Term.key)
-    frames = sorted({tr.s for tr in lexical if tr.o == FRAME}, key=Term.key)
-    verb_classes = sorted({tr.o for tr in lexical if tr.p == SENSE_KEY}, key=Term.key)
+    senses = sorted({tr.o for tr in lexical if tr.p == SENSE})
+    frames = sorted({tr.s for tr in lexical if tr.o == FRAME})
+    verb_classes = sorted({tr.o for tr in lexical if tr.p == SENSE_KEY})
     words = lemmas + ["zz", "yy"]
     phrases = []
     for i in range(rng.randint(0, 3)):

@@ -83,7 +83,26 @@ def test_pipeline_output_is_read_without_the_scanner(monkeypatch):
         raise AssertionError("fell back to the scanner")
 
     monkeypatch.setattr(rdfio, "_scan_ntriples", scanner_called)
-    assert parse_ntriples(text) == sorted(set(triples), key=Triple.key)
+    assert parse_ntriples(text) == sorted(set(triples))
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        pytest.param(parse_ntriples, f'<{EX}s> <{EX}p> "x"^^<> .\n<{EX}s> <{EX}p> "x" .\n', id="ntriples-line"),
+        pytest.param(parse_ntriples, f'_:b <{EX}p> "x"^^<> .\n', id="ntriples-scanner"),
+        pytest.param(parse_turtle, f'<{EX}s> <{EX}p> "x", "x"^^<> .\n', id="turtle-iri"),
+        pytest.param(parse_turtle, f'@prefix e: <> .\n<{EX}s> <{EX}p> "x"^^e: .\n', id="turtle-prefixed-name"),
+    ],
+)
+def test_empty_datatype_iri_is_a_parse_error(parse, text):
+    """``"x"^^<>`` would be written as ``"x"``, the plain literal, so it is
+    rejected where it is read, with the position of the datatype."""
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert "empty datatype IRI" in str(err.value)
+    line = text.split("\n")[err.value.line - 1]
+    assert line[err.value.column - 1 :].startswith(("<> .", "e: ."))
 
 
 def test_literal_subject_rejected():

@@ -156,6 +156,53 @@ def test_snapshot_of_another_format_or_interpreter_falls_back(mini, tmp_path, mo
     assert detect(manifest, inputs, tmp_path / "other") == expected
 
 
+def test_snapshot_of_the_version_2_term_layout_falls_back(mini, tmp_path, monkeypatch):
+    """Version 2 stored each term as (kind, value, datatype or None, lang or
+    None); read as today's (rank, value, datatype, lang) they are not terms."""
+    manifest, workspace, inputs = mini
+    expected = detect(manifest, inputs, tmp_path / "expected")
+    snapshot = workspace / SNAPSHOT_FILE
+    magic, body = snapshot.read_bytes().split(b"\n", 1)
+    _, cache_tag, key, sections = marshal.loads(body)
+
+    def old_layout(section):
+        fields, *tables = marshal.loads(section)
+        terms = map(Term._make, fields)
+        return marshal.dumps((
+            [(term.kind, term.value, term.datatype or None, term.lang or None) for term in terms],
+            *tables,
+        ))
+
+    sections = tuple(map(old_layout, sections))
+    snapshot.write_bytes(magic + b"\n" + marshal.dumps((2, cache_tag, key, sections)))
+    assert not uses_snapshot(workspace, monkeypatch)
+    assert not uses_snapshot(workspace, monkeypatch, expander=True)
+    assert detect(manifest, inputs, tmp_path / "old") == expected
+
+
+def test_workspace_key_read_in_chunks_equals_build_kb_key(mini, monkeypatch):
+    _, workspace, _ = mini
+    graph = workspace / "graphs" / "g_lexicon.nt"
+    monkeypatch.setattr(workspace_io, "_CHUNK_BYTES", 64)
+    assert graph.stat().st_size > 2 * 64
+    _, body = (workspace / SNAPSHOT_FILE).read_bytes().split(b"\n", 1)
+    _, _, key, _ = marshal.loads(body)
+    assert workspace_io._workspace_key(workspace) == key
+    assert uses_snapshot(workspace, monkeypatch)
+
+
+def test_graph_edited_in_its_last_chunk_is_seen(mini, monkeypatch):
+    """A same-length edit in the last chunk read changes the key."""
+    _, workspace, _ = mini
+    graph = workspace / "graphs" / "g_lexicon.nt"
+    data = graph.read_bytes()
+    monkeypatch.setattr(workspace_io, "_CHUNK_BYTES", len(data) // 2 + 1)
+    at = data.rindex(b"/frame/Motion>")
+    assert at > len(data) // 2 + 1
+    graph.write_bytes(data[:at] + b"/frame/Motiom>" + data[at + len(b"/frame/Motion>") :])
+    assert not uses_snapshot(workspace, monkeypatch)
+
+
 def test_triggers_expanded_after_build_kb_are_picked_up(tmp_path, monkeypatch):
     manifest = write_mini_pipeline(tmp_path)
     workspace = tmp_path / "workspace"
@@ -197,9 +244,9 @@ def _write_random_project(root: Path, rng: random.Random, hops: bool = False) ->
     graphs = {name: graph.triples for name, graph in store.graphs.items()}
     expansion = graphs.pop(t("g:triggers-b"))
     if hops:
-        nodes = sorted({term for g in graphs.values() for tr in g for term in tr if term.kind == IRI}, key=Term.key)
+        nodes = sorted({term for g in graphs.values() for tr in g for term in tr if term.kind == IRI})
         nodes += [t(f"cn:new{i}") for i in range(3)]
-        predicates = sorted({*OBJECT_PREDICATES, *SUBJECT_PREDICATES}, key=Term.key)
+        predicates = sorted({*OBJECT_PREDICATES, *SUBJECT_PREDICATES})
         graphs[t("g:hops")] = {
             Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(nodes)) for _ in range(rng.randint(0, 40))
         }
@@ -216,7 +263,7 @@ def _write_random_project(root: Path, rng: random.Random, hops: bool = False) ->
     for triple in expansion:
         by_value.setdefault(triple.o, []).append(triple)
     (root / "workspace" / "triggers").mkdir()
-    for i, (value, triples) in enumerate(sorted(by_value.items(), key=lambda kv: kv[0].key())):
+    for i, (value, triples) in enumerate(sorted(by_value.items())):
         assert all(triple.p == TRIGGERS for triple in triples)
         (root / "workspace" / "triggers" / f"v{i}.nt").write_text(to_ntriples(triples), encoding="utf-8")
     return root / "manifest.cfg", words
@@ -270,11 +317,11 @@ def test_random_kb_snapshot_tables_equal_the_rebuilt_store(seed):
         for predicate in TABLE_PREDICATES:
             subjects = {tr.s for tr in triples if tr.p == predicate}
             assert tables[predicate] == {s: tuple(store.objects(s, predicate)) for s in subjects}
-        assert sorted(expander.objects, key=Term.key) == sorted(OBJECT_PREDICATES, key=Term.key)
+        assert sorted(expander.objects) == sorted(OBJECT_PREDICATES)
         for predicate in OBJECT_PREDICATES:
             subjects = {tr.s for tr in triples if tr.p == predicate}
             assert expander.objects[predicate] == {s: tuple(store.objects(s, predicate)) for s in subjects}
-        assert sorted(expander.subjects, key=Term.key) == sorted(SUBJECT_PREDICATES, key=Term.key)
+        assert sorted(expander.subjects) == sorted(SUBJECT_PREDICATES)
         for predicate in SUBJECT_PREDICATES:
             objects = {tr.o for tr in triples if tr.p == predicate}
             assert expander.subjects[predicate] == {o: tuple(store.subjects(predicate, o)) for o in objects}

@@ -29,15 +29,31 @@ def test_terms_hash_and_compare_by_value():
     assert len({iri("urn:a"), iri("urn:a"), blank("a")}) == 2
 
 
-def test_sort_key_orders_iri_blank_literal():
-    terms = [lit("a"), blank("a"), iri("urn:a")]
-    assert [t.kind for t in sorted(terms, key=Term.key)] == ["iri", "blank", "literal"]
+def test_absent_datatype_and_lang_are_empty_strings():
+    assert lit("x") == Term("literal", "x", datatype="", lang="")
+    assert (lit("x").datatype, lit("x").lang) == ("", "")
+    assert (iri("urn:a").datatype, blank("b").lang) == ("", "")
 
 
-def test_triple_key_is_lexicographic():
+def test_plain_sort_orders_iri_blank_literal():
+    terms = sorted([lit("a"), blank("a"), iri("urn:a")])
+    assert terms == [iri("urn:a"), blank("a"), lit("a")]
+    assert [t.kind for t in terms] == ["iri", "blank", "literal"]
+
+
+def test_triples_sort_lexicographically():
     t1 = Triple(iri("urn:a"), iri("urn:p"), lit("1"))
     t2 = Triple(iri("urn:a"), iri("urn:p"), lit("2"))
-    assert sorted([t2, t1], key=Triple.key) == [t1, t2]
+    assert sorted([t2, t1]) == [t1, t2]
+
+
+_KIND_ORDER = {"iri": 0, "blank": 1, "literal": 2}
+
+
+def reference_key(term):
+    """The RDF term order, written out: kind (IRI, blank, literal), value,
+    datatype, language, an absent datatype or language sorting first."""
+    return (_KIND_ORDER[term.kind], term.value, term.datatype or "", term.lang or "")
 
 
 _text = st.sampled_from(["", "a", "ab", "b", "a b", "\u00e9"])
@@ -50,8 +66,7 @@ _terms = st.one_of(
 )
 
 
-@given(st.lists(st.builds(Triple, _terms, _terms, _terms), max_size=30))
-def test_flat_triple_key_orders_like_nested_term_keys(triples):
-    nested = sorted(triples, key=lambda t: (t.s.key(), t.p.key(), t.o.key()))
-    assert sorted(triples, key=Triple.key) == nested
-    assert all(len(t.key()) == 12 for t in triples)
+@given(st.lists(_terms, max_size=30), st.lists(st.builds(Triple, _terms, _terms, _terms), max_size=30))
+def test_plain_sort_is_the_reference_term_order(terms, triples):
+    assert sorted(terms) == sorted(terms, key=reference_key)
+    assert sorted(triples) == sorted(triples, key=lambda t: tuple(map(reference_key, t)))
