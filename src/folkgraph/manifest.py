@@ -243,20 +243,8 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
 # -- the detector snapshot ----------------------------------------------------------
 
 
-_CHUNK_BYTES = 1 << 20
-
-
 def _checksum(name: str, data: bytes) -> tuple[str, int, int]:
     return (name, len(data), zlib.crc32(data))
-
-
-def _file_checksum(workspace: Path, name: str) -> tuple[str, int, int]:
-    """``_checksum`` of a workspace file, read ``_CHUNK_BYTES`` at a time."""
-    crc = 0
-    with open(workspace / name, "rb") as f:
-        while chunk := f.read(_CHUNK_BYTES):
-            crc = zlib.crc32(chunk, crc)
-        return (name, f.tell(), crc)
 
 
 def _workspace_key(workspace: Path) -> tuple | None:
@@ -265,7 +253,7 @@ def _workspace_key(workspace: Path) -> tuple | None:
         data = (workspace / "meta.json").read_bytes()
         key = [_checksum("meta.json", data)]
         for entry in json.loads(data)["graphs"]:
-            key.append(_file_checksum(workspace, entry["file"]))
+            key.append(_checksum(entry["file"], (workspace / entry["file"]).read_bytes()))
     except (OSError, ValueError, KeyError, TypeError):
         return None
     return tuple(key)

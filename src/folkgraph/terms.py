@@ -41,6 +41,9 @@ class Term(_TermFields):
             raise ValueError("literal cannot carry both datatype and language tag")
         return tuple.__new__(cls, (_RANK[kind], value, datatype or "", lang or ""))
 
+    def __getnewargs__(self):  # pickle and copy rebuild a term through __new__
+        return (self.kind, self.value, self.datatype, self.lang)
+
     @property
     def kind(self) -> str:
         return _KINDS[self.rank]

@@ -186,6 +186,28 @@ def test_parallel_detect_forks_its_workers(root, manifest, built, monkeypatch):
     assert [context.get_start_method() for context in contexts] == ["fork"]
 
 
+def test_parallel_detect_without_fork_pickles_the_detector(root, manifest, built, monkeypatch):
+    """Without a fork start method the workers are spawned and receive the
+    detector pickled; their output is the serial run's."""
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    contexts = []
+    original = cli.ProcessPoolExecutor
+
+    def spawned(*args, mp_context=None, **kwargs):
+        contexts.append(mp_context)
+        return original(*args, mp_context=mp_context or multiprocessing.get_context("spawn"), **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawned)
+    inputs = write_sentences(root / "sentences.jsonl")
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "serial")]) == 0
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out"), "--jobs", "2"]) == 0
+    assert contexts == [None]
+    names = sorted(p.name for p in (root / "serial").iterdir())
+    assert names == sorted(p.name for p in (root / "out").iterdir())
+    for name in names:
+        assert (root / "serial" / name).read_bytes() == (root / "out" / name).read_bytes()
+
+
 # -- exit codes -------------------------------------------------------------------
 
 

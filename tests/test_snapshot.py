@@ -180,29 +180,6 @@ def test_snapshot_of_the_version_2_term_layout_falls_back(mini, tmp_path, monkey
     assert detect(manifest, inputs, tmp_path / "old") == expected
 
 
-def test_workspace_key_read_in_chunks_equals_build_kb_key(mini, monkeypatch):
-    _, workspace, _ = mini
-    graph = workspace / "graphs" / "g_lexicon.nt"
-    monkeypatch.setattr(workspace_io, "_CHUNK_BYTES", 64)
-    assert graph.stat().st_size > 2 * 64
-    _, body = (workspace / SNAPSHOT_FILE).read_bytes().split(b"\n", 1)
-    _, _, key, _ = marshal.loads(body)
-    assert workspace_io._workspace_key(workspace) == key
-    assert uses_snapshot(workspace, monkeypatch)
-
-
-def test_graph_edited_in_its_last_chunk_is_seen(mini, monkeypatch):
-    """A same-length edit in the last chunk read changes the key."""
-    _, workspace, _ = mini
-    graph = workspace / "graphs" / "g_lexicon.nt"
-    data = graph.read_bytes()
-    monkeypatch.setattr(workspace_io, "_CHUNK_BYTES", len(data) // 2 + 1)
-    at = data.rindex(b"/frame/Motion>")
-    assert at > len(data) // 2 + 1
-    graph.write_bytes(data[:at] + b"/frame/Motiom>" + data[at + len(b"/frame/Motion>") :])
-    assert not uses_snapshot(workspace, monkeypatch)
-
-
 def test_triggers_expanded_after_build_kb_are_picked_up(tmp_path, monkeypatch):
     manifest = write_mini_pipeline(tmp_path)
     workspace = tmp_path / "workspace"

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,6 +36,18 @@ def test_absent_datatype_and_lang_are_empty_strings():
     assert lit("x") == Term("literal", "x", datatype="", lang="")
     assert (lit("x").datatype, lit("x").lang) == ("", "")
     assert (iri("urn:a").datatype, blank("b").lang) == ("", "")
+
+
+@pytest.mark.parametrize(
+    "term", [iri("urn:a"), blank("b0"), lit("x"), lit("1", datatype="urn:dt"), lit("x", lang="en")]
+)
+def test_terms_survive_pickle_and_copy(term):
+    for clone in (pickle.loads(pickle.dumps(term)), copy.copy(term), copy.deepcopy(term)):
+        assert type(clone) is Term
+        assert clone == term
+        assert (clone.kind, clone.datatype, clone.lang) == (term.kind, term.datatype, term.lang)
+    triple = Triple(iri("urn:s"), iri("urn:p"), term)
+    assert pickle.loads(pickle.dumps(triple)) == triple
 
 
 def test_plain_sort_orders_iri_blank_literal():
