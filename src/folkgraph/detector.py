@@ -4,13 +4,12 @@ The text frontend is deliberately rule based so that two runs over the same
 input and knowledge base produce byte-identical output: Unicode word
 tokenization, longest-match multiword segmentation, then lexicon lookups for
 lemma, part of speech, and sense. Frames, verb classes, activation and
-stance are table lookups: the detector needs a frozen store and, once at
-construction, collects its ``evokes``, ``senseKey``, ``triggers``,
-``affectRole`` and ``affectPolarity`` edges into tables that give the same
-objects, in the same order, as a pattern match would (``lookup_tables``).
-``Detector.from_tables`` takes those tables ready made instead, as the
-workspace's detector snapshot supplies them, and ``merge_tables`` adds the
-tables of further graphs, such as the trigger graphs, to them.
+stance are table lookups: at construction the detector takes the one-hop
+rows (``store.OneHop``) of ``evokes``, ``senseKey``, ``triggers``,
+``affectRole`` and ``affectPolarity``, which give the same objects, in the
+same order, as a pattern match would. ``Detector(store, ...)`` takes them from
+a frozen store; ``Detector.from_tables`` takes them from any ``OneHop``, such
+as the workspace snapshot's merged with the trigger graphs'.
 
 Node IRIs are ``sent:<id>/n<index>`` with the sentence id percent-encoded
 (RFC 3986), so every id yields an IRI the N-Triples reader accepts.
@@ -37,11 +36,10 @@ from urllib.parse import quote
 from . import vocab
 from .lexicon import Lexicon
 from .rdfio import PrefixTable
-from .store import TripleStore
+from .store import OneHop, TripleStore, one_hop
 from .terms import Term, Triple, iri, lit
 
 MODES = ("firstSense", "allSenses")
-TABLE_PREDICATES = (vocab.EVOKES, vocab.SENSE_KEY, vocab.TRIGGERS, vocab.AFFECT_ROLE, vocab.AFFECT_POLARITY)
 
 _WORD = re.compile(r"\w+")
 _CHAIN_PREDICATES = {"evokes": vocab.EVOKES, "triggers": vocab.TRIGGERS}
@@ -50,24 +48,6 @@ _STANCE_TARGET_POS = {"noun", "multiword"}
 
 class DetectorError(ValueError):
     pass
-
-
-# Predicate -> (subject -> objects, or object -> subjects), each tuple in term order.
-Tables = dict[Term, dict[Term, tuple[Term, ...]]]
-
-
-def lookup_tables(store: TripleStore) -> Tables:
-    """Subject -> objects in term order, for each of ``TABLE_PREDICATES``."""
-    return {predicate: store.objects_by_subject(predicate) for predicate in TABLE_PREDICATES}
-
-
-def merge_tables(tables: Tables, extra: Tables) -> None:
-    """Add ``extra`` into ``tables`` in place: the tables of the union of both stores."""
-    for predicate, rows in extra.items():
-        into = tables[predicate]
-        for subject, objects in rows.items():
-            have = into.get(subject)
-            into[subject] = objects if have is None else tuple(sorted({*have, *objects}))
 
 
 @dataclass(frozen=True)
@@ -206,16 +186,16 @@ class Detector:
     def __init__(self, store: TripleStore, lexicon: Lexicon, mode: str = "firstSense"):
         if not store.frozen:
             raise DetectorError("detector needs a frozen store")
-        self._use(lexicon, mode, lookup_tables(store))
+        self._use(lexicon, mode, one_hop(store))
 
     @classmethod
-    def from_tables(cls, lexicon: Lexicon, tables: Tables, mode: str = "firstSense") -> "Detector":
-        """A detector over ready-made tables, as ``lookup_tables`` returns them."""
+    def from_tables(cls, lexicon: Lexicon, rows: OneHop, mode: str = "firstSense") -> "Detector":
+        """A detector over the rows of any source, such as the workspace snapshot."""
         detector = cls.__new__(cls)
-        detector._use(lexicon, mode, tables)
+        detector._use(lexicon, mode, rows)
         return detector
 
-    def _use(self, lexicon: Lexicon, mode: str, tables: Tables) -> None:
+    def _use(self, lexicon: Lexicon, mode: str, rows: OneHop) -> None:
         if mode not in MODES:
             raise DetectorError(f"unknown detector mode: {mode!r}")
         self.lexicon = lexicon
@@ -224,11 +204,11 @@ class Detector:
         self._multiwords: dict[str, list[tuple[str, ...]]] = {}
         for words in lexicon.multiwords():
             self._multiwords.setdefault(words[0], []).append(words)
-        self._evokes = tables[vocab.EVOKES]
-        self._sense_keys = tables[vocab.SENSE_KEY]
-        self._triggers = tables[vocab.TRIGGERS]
-        self._affect_roles = tables[vocab.AFFECT_ROLE]
-        self._affect_polarities = tables[vocab.AFFECT_POLARITY]
+        self._evokes = rows.objects(vocab.EVOKES)
+        self._sense_keys = rows.objects(vocab.SENSE_KEY)
+        self._triggers = rows.objects(vocab.TRIGGERS)
+        self._affect_roles = rows.objects(vocab.AFFECT_ROLE)
+        self._affect_polarities = rows.objects(vocab.AFFECT_POLARITY)
 
     # -- frontend ------------------------------------------------------------
 

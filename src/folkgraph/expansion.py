@@ -11,39 +11,26 @@ close-match queries; concept results feed the factual query; lexical-unit
 synsets feed the YAGO query, which is terminal. Candidate and accepted lists
 are kept in term order (``terms``) so runs diff cleanly.
 
-Every query is a one-hop lookup: objects of ``OBJECT_PREDICATES`` by subject
-and subjects of ``SUBJECT_PREDICATES`` by object. ``Expander`` reads them from
-tables that ``lookup_tables`` builds once from a store, or that
-``Expander.from_tables`` takes ready made, as the workspace snapshot supplies
-them; both give the lists ``TripleStore.objects`` and ``subjects`` would.
+Every query is a one-hop lookup, objects by subject or subjects by object.
+``Expander`` takes the rows of ``vocab.ONE_HOP_OBJECTS`` and
+``ONE_HOP_SUBJECTS`` (a ``store.OneHop``) at construction, from a store or,
+through ``Expander.from_tables``, from any ``OneHop``, such as the workspace
+snapshot's; both give the lists ``TripleStore.objects`` and ``subjects`` would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
 
 from . import vocab
 from .config import config_lines, config_pairs
 from .lexicon import Lexicon
 from .rdfio import PrefixTable
-from .store import TripleStore
+from .store import OneHop, TripleStore, one_hop
 from .terms import Term, Triple, iri
 
 QUERY_KINDS = ("frame", "frameElement", "lexicalUnit", "yago", "closeMatch", "concept", "factual")
-# Every store read the queries make: objects of OBJECT_PREDICATES by subject,
-# and subjects of SUBJECT_PREDICATES by object.
-OBJECT_PREDICATES = (vocab.EVOKES, vocab.SENSE_KEY, vocab.OWL_SAME_AS, vocab.EXTERNAL_URL, *vocab.CONCEPT_RELATIONS)
-SUBJECT_PREDICATES = (vocab.EVOKES, vocab.SENSE_KEY, vocab.SKOS_CLOSE_MATCH, *vocab.CONCEPT_RELATIONS)
-
-
-class ExpanderTables(NamedTuple):
-    """Predicate -> subject -> objects, and predicate -> object -> subjects,
-    each tuple in term order."""
-
-    objects: dict[Term, dict[Term, tuple[Term, ...]]]
-    subjects: dict[Term, dict[Term, tuple[Term, ...]]]
 
 
 class PlanError(ValueError):
@@ -165,35 +152,24 @@ def _sorted_terms(terms) -> list[Term]:
     return sorted(set(terms))
 
 
-def lookup_tables(store: TripleStore, objects: dict | None = None) -> ExpanderTables:
-    """Every lookup the queries make, as ``TripleStore.objects_by_subject`` and
-    ``subjects_by_object`` tables of ``OBJECT_PREDICATES`` and ``SUBJECT_PREDICATES``.
-    Object tables that ``objects`` already holds for this store (the detector's,
-    say) are reused, not built again."""
-    objects = objects or {}
-    return ExpanderTables(
-        {p: objects[p] if p in objects else store.objects_by_subject(p) for p in OBJECT_PREDICATES},
-        {p: store.subjects_by_object(p) for p in SUBJECT_PREDICATES},
-    )
-
-
 class Expander:
-    """Runs plans over a lexicon and lookup tables, built from a store or ready made."""
+    """Runs plans over a lexicon and one-hop rows, taken from a store or any ``OneHop``."""
 
     def __init__(self, store: TripleStore, lexicon: Lexicon, prefixes: PrefixTable | None = None):
-        self._use(lexicon, prefixes, lookup_tables(store))
+        self._use(lexicon, prefixes, one_hop(store))
 
     @classmethod
-    def from_tables(cls, lexicon: Lexicon, tables: ExpanderTables, prefixes: PrefixTable | None = None) -> "Expander":
-        """An expander over ready-made tables, as ``lookup_tables`` returns them."""
+    def from_tables(cls, lexicon: Lexicon, rows: OneHop, prefixes: PrefixTable | None = None) -> "Expander":
+        """An expander over the rows of any source, such as the workspace snapshot."""
         expander = cls.__new__(cls)
-        expander._use(lexicon, prefixes, tables)
+        expander._use(lexicon, prefixes, rows)
         return expander
 
-    def _use(self, lexicon: Lexicon, prefixes: PrefixTable | None, tables: ExpanderTables) -> None:
+    def _use(self, lexicon: Lexicon, prefixes: PrefixTable | None, rows: OneHop) -> None:
         self.lexicon = lexicon
         self.prefixes = prefixes or vocab.PREFIXES
-        self._objects_of, self._subjects_of = tables
+        self._objects_of = {p: rows.objects(p) for p in vocab.ONE_HOP_OBJECTS}
+        self._subjects_of = {p: rows.subjects(p) for p in vocab.ONE_HOP_SUBJECTS}
 
     def _objects(self, s: Term, p: Term) -> tuple[Term, ...]:
         return self._objects_of[p].get(s, ())

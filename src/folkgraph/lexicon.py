@@ -3,8 +3,8 @@
 Entries, frames, and frame elements are scanned once from the graphs marked
 with the `lexical` role and indexed by lemma and surface form. Sense-level
 links (evoked frames, verb classes, concept hops, external alignments) are
-not indexed here: the detector and the expander read them through their own
-lookup tables (``detector.lookup_tables``, ``expansion.lookup_tables``).
+not indexed here: the detector and the expander read them as one-hop rows
+(``store.OneHop``).
 
 Sense rank follows the WordNet numbering convention: the trailing integer of
 the sense IRI (`...risk-verb-2` has rank 2), rank 1 being the default sense.

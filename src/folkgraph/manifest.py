@@ -13,22 +13,23 @@ location defaults to ``workspace/`` beside the manifest and can be moved
 with the FOLKGRAPH_WORKSPACE environment variable.
 
 ``build-kb`` also writes ``detector.snapshot``, which serves ``expand`` and
-``detect``. It holds two sections over the base graphs, each a ``marshal``
-dump of plain data (every term once, as its four fields, and integer term ids
-everywhere else), so loading it never runs code. The detector's section holds
-the lexicon's entry tables and the detector's five lookup tables; the
-expander's holds the object tables and subject tables ``expansion.lookup_tables``
-builds, less the object tables the detector's section already holds, and
-numbers only the terms that section lacks. Its key is the byte length and
-CRC-32 of ``meta.json`` and of every graph file ``meta.json`` lists, next to a
-format version and ``sys.implementation.cache_tag``. When all of these match
-the workspace on disk, ``open_detector`` decodes the detector's section only,
-parses the trigger graphs and merges their tables in, and ``open_expander``
-decodes both sections and reads no trigger graph. Otherwise (no snapshot, a
-stale or truncated one, another format or interpreter) each builds from the
-graph files as ``load_workspace`` does. Both ways give the same detector and
-the same expander. CRC-32 only has to notice an edit or a rebuild, not resist
-forgery: anyone who can write the graph files can rewrite the snapshot too.
+``detect``. It holds one ``marshal`` dump of plain data over the base graphs
+(every term once, an IRI as its value and any other term as its four fields,
+and integer term ids everywhere else), so loading it never runs code: the
+lexicon's entry tables, and the one-hop rows of ``vocab.ONE_HOP_OBJECTS`` and
+``ONE_HOP_SUBJECTS``, one nested dump per predicate, decoded when asked for.
+Its key is the byte length and CRC-32 of ``meta.json`` and of every graph file
+``meta.json`` lists, next to a format version, ``sys.implementation.cache_tag``
+and the payload's own CRC-32. ``_open`` decodes it into a lexicon and a
+``store.OneHop`` when all of these match the workspace on disk. Otherwise (no
+snapshot, a stale, damaged or truncated one, another format or interpreter) it builds
+both from the graph files as ``load_workspace`` does. ``open_expander`` takes
+the expander's rows from that ``OneHop``; ``open_detector`` takes the
+detector's from its union with the trigger graphs' rows, on either path, so
+it decodes no row only the expander reads. Both ways give the same detector
+and the same expander. CRC-32 only has to notice an edit or a rebuild, not
+resist forgery: anyone who can write the graph files can rewrite the snapshot
+too.
 
 Loading or building a workspace of 1.5x10^5 triples allocates about 10^6
 long-lived objects (terms, triples, index buckets). The cyclic garbage
@@ -49,18 +50,16 @@ import zlib
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import islice
 from pathlib import Path
 
 from . import vocab
 from .config import config_pairs
-from .detector import MODES, Detector, Tables, lookup_tables, merge_tables
-from .expansion import OBJECT_PREDICATES, Expander, ExpanderTables, trigger_graph_name
-from .expansion import lookup_tables as expander_tables
+from .detector import MODES, Detector
+from .expansion import Expander, trigger_graph_name
 from .lexicon import FrameElement, LexicalEntry, Lexicon
 from .rdfio import PrefixTable, parse, to_ntriples
-from .store import TripleStore
-from .terms import Term, iri
+from .store import OneHop, Rows, TripleStore, one_hop
+from .terms import IRI, Term, iri
 from .values import build_model, load_value_manifest
 
 GRAPH_ROLES = ("lexical", "values", "triggers")
@@ -69,7 +68,8 @@ GRAPH_FORMATS = ("ntriples", "turtle")
 WORKSPACE_ENV = "FOLKGRAPH_WORKSPACE"
 SNAPSHOT_FILE = "detector.snapshot"
 _SNAPSHOT_MAGIC = b"folkgraph detector snapshot\n"
-_SNAPSHOT_VERSION = 3  # bump whenever the encoded tables change shape or meaning
+_SNAPSHOT_VERSION = 4  # bump whenever the payload changes shape or meaning
+_IRI_RANK = iri("").rank  # the snapshot stores an IRI as its bare value
 
 
 class ManifestError(ValueError):
@@ -207,7 +207,7 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
 
         lexical = [g.name for g in manifest.graph_files if g.role == "lexical"]
         lexicon = Lexicon(store, lexical)  # validates the lexical layer
-        sections = _encode(store, lexicon)  # written once meta.json gives the snapshot its key
+        payload = _encode(store, lexicon)  # written once meta.json gives the snapshot its key
     store.freeze()
 
     graphs_dir = workspace / "graphs"
@@ -236,7 +236,7 @@ def build_workspace(manifest: Manifest, workspace: Path) -> dict:
     }
     data = (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")
     (workspace / "meta.json").write_bytes(data)
-    _write_snapshot(workspace, (_checksum("meta.json", data), *checksums), sections)
+    _write_snapshot(workspace, (_checksum("meta.json", data), *checksums), payload)
     return meta
 
 
@@ -267,27 +267,22 @@ class _Ids(dict):
         return at
 
 
-def _encode(store: TripleStore, lexicon: Lexicon) -> tuple[bytes, bytes]:
-    """The snapshot's sections: the lexicon's and the detector's tables, then
-    the expander's, each a ``marshal`` dump of plain data: each term once, as
-    its fields, and term or entry ids everywhere else. The expander's section
-    numbers its own terms on from the detector's, and leaves out the object
-    tables the detector's section already holds."""
-    tables = lookup_tables(store)
-    expander = expander_tables(store, tables)
+def _encode(store: TripleStore, lexicon: Lexicon) -> bytes:
+    """The snapshot's payload, a ``marshal`` dump of plain data: the terms, the
+    lexicon's entry rows and tables, and the one-hop rows of ``vocab.ONE_HOP_OBJECTS``
+    and ``ONE_HOP_SUBJECTS``, one nested dump per predicate under its IRI. Each
+    term is stored once, an IRI as its value and any other term as its four
+    fields, and referred to by its index everywhere else."""
     ids = _Ids()
     term_id = ids.__getitem__
 
-    def encoded(tables: Tables) -> dict:
-        return {
-            term_id(predicate): {term_id(key): tuple(map(term_id, found)) for key, found in rows.items()}
-            for predicate, rows in tables.items()
-        }
+    def dumped(rows: Rows) -> bytes:
+        return marshal.dumps({term_id(key): tuple(map(term_id, found)) for key, found in rows.items()})
 
     by_lemma, by_form, frames, multiwords = lexicon.tables()
     entries = [entry for same_lemma in by_lemma.values() for entry in same_lemma]  # one lemma per entry
     row_of = {id(entry): at for at, entry in enumerate(entries)}
-    rows = [
+    entry_rows = [
         (term_id(e.node), e.lemma, e.pos, tuple(map(term_id, e.senses)), tuple(map(term_id, e.concept_anchors)))
         for e in entries
     ]
@@ -297,43 +292,31 @@ def _encode(store: TripleStore, lexicon: Lexicon) -> tuple[bytes, bytes]:
         {term_id(f): [(term_id(e.id), e.name, e.element_type) for e in fes] for f, fes in frames.items()},
         multiwords,
     )
-    detector_tables = encoded(tables)
-    detector_terms = [tuple(term) for term in ids]
-    objects = encoded({predicate: rows for predicate, rows in expander.objects.items() if predicate not in tables})
-    subjects = encoded(expander.subjects)
-    expander_terms = [tuple(term) for term in islice(ids, len(detector_terms), None)]
-    return (
-        marshal.dumps((detector_terms, rows, lexical, detector_tables)),
-        marshal.dumps((expander_terms, objects, subjects)),
-    )
+    objects = {p.value: dumped(store.objects_by_subject(p)) for p in vocab.ONE_HOP_OBJECTS}
+    subjects = {p.value: dumped(store.subjects_by_object(p)) for p in vocab.ONE_HOP_SUBJECTS}
+    terms = [term.value if term.kind == IRI else tuple(term) for term in ids]
+    return marshal.dumps((terms, entry_rows, lexical, objects, subjects))
 
 
-def _write_snapshot(workspace: Path, key: tuple, sections: tuple[bytes, bytes]) -> None:
-    header = (_SNAPSHOT_VERSION, sys.implementation.cache_tag, key)
+def _write_snapshot(workspace: Path, key: tuple, payload: bytes) -> None:
+    header = (_SNAPSHOT_VERSION, sys.implementation.cache_tag, key, zlib.crc32(payload))
     partial_path = workspace / f"{SNAPSHOT_FILE}.tmp"
-    partial_path.write_bytes(_SNAPSHOT_MAGIC + marshal.dumps((*header, sections)))
+    partial_path.write_bytes(_SNAPSHOT_MAGIC + marshal.dumps((*header, payload)))
     os.replace(partial_path, workspace / SNAPSHOT_FILE)
 
 
-# Terms from fields the store already validated, without Term's checks.
-_term_from_fields = partial(tuple.__new__, Term)
-
-
-def _decode_tables(terms: list[Term], encoded: dict) -> Tables:
-    term = terms.__getitem__
-    return {
-        terms[predicate]: {terms[key]: tuple(map(term, found)) for key, found in rows.items()}
-        for predicate, rows in encoded.items()
-    }
-
-
-def _decode_detector(section: bytes) -> tuple[list[Term], Lexicon, Tables]:
-    fields, rows, lexical, encoded = marshal.loads(section)
-    terms = list(map(_term_from_fields, fields))
+def _decode(payload: bytes) -> tuple[Lexicon, OneHop]:
+    """The lexicon and one-hop rows ``_encode`` stored. Terms are made from
+    fields the store already validated, without Term's checks; a predicate's
+    rows are decoded when asked for, and one the payload lacks raises
+    ``KeyError``."""
+    fields, entry_rows, lexical, objects, subjects = marshal.loads(payload)
+    new = tuple.__new__
+    terms = [new(Term, f) if f.__class__ is tuple else new(Term, (_IRI_RANK, f, "", "")) for f in fields]
     term = terms.__getitem__
     entries = [
         LexicalEntry(terms[node], lemma, pos, tuple(map(term, senses)), tuple(map(term, anchors)))
-        for node, lemma, pos, senses, anchors in rows
+        for node, lemma, pos, senses, anchors in entry_rows
     ]
     entry = entries.__getitem__
     by_lemma, by_form, frames, multiwords = lexical
@@ -343,69 +326,56 @@ def _decode_detector(section: bytes) -> tuple[list[Term], Lexicon, Tables]:
         {terms[f]: [FrameElement(terms[e], name, kind) for e, name, kind in fes] for f, fes in frames.items()},
         multiwords,
     )
-    return terms, lexicon, _decode_tables(terms, encoded)
+    return lexicon, OneHop(partial(_decode_rows, terms, objects), partial(_decode_rows, terms, subjects))
 
 
-def _decode_expander(section: bytes, terms: list[Term], tables: Tables) -> ExpanderTables:
-    """The expander's tables; ``terms`` and ``tables`` are the detector section's."""
-    fields, objects, subjects = marshal.loads(section)
-    terms = terms + list(map(_term_from_fields, fields))
-    objects = {**tables, **_decode_tables(terms, objects)}
-    return ExpanderTables(
-        {predicate: objects[predicate] for predicate in OBJECT_PREDICATES}, _decode_tables(terms, subjects)
-    )
+def _decode_rows(terms: list[Term], dumps: dict[str, bytes], predicate: Term) -> Rows:
+    term = terms.__getitem__
+    return {terms[key]: tuple(map(term, found)) for key, found in marshal.loads(dumps[predicate.value]).items()}
 
 
-def _load_snapshot(workspace: Path, expander: bool = False) -> tuple[Lexicon, Tables, ExpanderTables | None] | None:
-    """The snapshot's lexicon and detector tables, and its expander tables if
-    ``expander`` is set (else None), if it matches the workspace; else None.
-    Only the sections asked for are decoded."""
+def _load_snapshot(workspace: Path) -> tuple[Lexicon, OneHop] | None:
+    """The snapshot's lexicon and one-hop rows if it matches the workspace, else None."""
     try:
         data = (workspace / SNAPSHOT_FILE).read_bytes()
         if not data.startswith(_SNAPSHOT_MAGIC):
             return None
-        version, cache_tag, key, sections = marshal.loads(memoryview(data)[len(_SNAPSHOT_MAGIC) :])
-        del data  # the sections are copies; free the file's bytes before the key check reads the graphs
+        version, cache_tag, key, crc, payload = marshal.loads(memoryview(data)[len(_SNAPSHOT_MAGIC) :])
+        del data  # the payload is a copy; free the file's bytes before the key check reads the graphs
         if (version, cache_tag) != (_SNAPSHOT_VERSION, sys.implementation.cache_tag):
             return None
-        if key != _workspace_key(workspace):
+        if key != _workspace_key(workspace) or crc != zlib.crc32(payload):  # rows decode later, outside this try
             return None
-        detector_section, expander_section = sections
-        terms, lexicon, tables = _decode_detector(detector_section)
-        return lexicon, tables, _decode_expander(expander_section, terms, tables) if expander else None
+        return _decode(payload)
     except (OSError, EOFError, ValueError, TypeError, IndexError, KeyError, AttributeError):
         return None
 
 
-def open_detector(workspace: Path, mode: str) -> Detector:
-    """The detector over the workspace plus its trigger graphs: from the
-    snapshot when it matches, else built from the graph files."""
-    with _frozen_heap():
-        snapshot = _load_snapshot(workspace)
-        if snapshot is not None:
-            lexicon, tables, _ = snapshot
-            triggers = TripleStore()
-            load_trigger_graphs(triggers, workspace)
-            triggers.freeze()
-            merge_tables(tables, lookup_tables(triggers))
-            return Detector.from_tables(lexicon, tables, mode)
+def _open(workspace: Path) -> tuple[Lexicon, OneHop]:
+    """The lexicon and one-hop rows of the workspace's base graphs (never its
+    trigger graphs): from the snapshot when it matches, else from the graph files."""
+    snapshot = _load_snapshot(workspace)
+    if snapshot is not None:
+        return snapshot
     store, lexicon, _ = load_workspace(workspace)
-    load_trigger_graphs(store, workspace)
     store.freeze()
-    return Detector(store, lexicon, mode)
+    return lexicon, one_hop(store)
+
+
+def open_detector(workspace: Path, mode: str) -> Detector:
+    """The detector over the workspace's base graphs plus its trigger graphs."""
+    with _frozen_heap():
+        lexicon, rows = _open(workspace)
+        triggers = TripleStore()
+        load_trigger_graphs(triggers, workspace)
+        triggers.freeze()
+        return Detector.from_tables(lexicon, rows.union(one_hop(triggers)), mode)
 
 
 def open_expander(workspace: Path, prefixes: PrefixTable) -> Expander:
-    """The expander over the workspace's base graphs (never its trigger
-    graphs): from the snapshot when it matches, else built from the graph files."""
+    """The expander over the workspace's base graphs (never its trigger graphs)."""
     with _frozen_heap():
-        snapshot = _load_snapshot(workspace, expander=True)
-        if snapshot is not None:
-            lexicon, _, tables = snapshot
-            return Expander.from_tables(lexicon, tables, prefixes)
-    store, lexicon, _ = load_workspace(workspace)
-    store.freeze()
-    return Expander(store, lexicon, prefixes)
+        return Expander.from_tables(*_open(workspace), prefixes)
 
 
 # -- loading ---------------------------------------------------------------------

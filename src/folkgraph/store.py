@@ -5,11 +5,21 @@ predicate, object) whose buckets list the triples in insertion order, so
 single-position lookups are dict hits and a basic graph pattern can always
 start from its most selective constant. Stores are built
 once and then frozen; mutation after freeze is a bug in the caller.
+
+``OneHop`` gives a source's one-hop rows, predicate by predicate:
+``one_hop(store)`` makes them from a store, and the workspace snapshot
+decodes them.
 """
 
 from __future__ import annotations
 
+from functools import partial
+from typing import Callable, NamedTuple
+
 from .terms import Binding, Pattern, Term, Triple, Variable
+
+# Subject -> objects, or object -> subjects, of one predicate; each tuple in term order.
+Rows = dict[Term, tuple[Term, ...]]
 
 
 class StoreError(ValueError):
@@ -125,11 +135,11 @@ class TripleStore:
         """Subjects of (p, o) over every graph, like ``objects``."""
         return sorted({t.s for g in self.graphs.values() for t in g.candidates(None, p, o)})
 
-    def objects_by_subject(self, p: Term) -> dict[Term, tuple[Term, ...]]:
+    def objects_by_subject(self, p: Term) -> Rows:
         """Subject -> ``objects(subject, p)`` for every subject of ``p``, as tuples."""
         return _grouped((t.s, t.o) for g in self.graphs.values() for t in g.candidates(None, p, None))
 
-    def subjects_by_object(self, p: Term) -> dict[Term, tuple[Term, ...]]:
+    def subjects_by_object(self, p: Term) -> Rows:
         """Object -> ``subjects(p, object)`` for every object of ``p``, as tuples."""
         return _grouped((t.o, t.s) for g in self.graphs.values() for t in g.candidates(None, p, None))
 
@@ -196,7 +206,37 @@ class TripleStore:
         return _unique_sorted(bindings)
 
 
-def _grouped(pairs) -> dict[Term, tuple[Term, ...]]:
+class OneHop(NamedTuple):
+    """A source's one-hop rows: ``objects(p)`` gives subject -> objects and
+    ``subjects(p)`` object -> subjects, as ``TripleStore.objects_by_subject``
+    and ``subjects_by_object`` do, made anew on each call, so a consumer takes
+    each once. What they raise, such as a ``KeyError`` for a predicate the
+    source does not hold, propagates."""
+
+    objects: Callable[[Term], Rows]
+    subjects: Callable[[Term], Rows]
+
+    def union(self, other: OneHop) -> OneHop:
+        """The rows of a store holding the triples of both sources."""
+        return OneHop(partial(_union, self.objects, other.objects), partial(_union, self.subjects, other.subjects))
+
+
+def one_hop(store: TripleStore) -> OneHop:
+    return OneHop(store.objects_by_subject, store.subjects_by_object)
+
+
+def _union(rows: Callable[[Term], Rows], extra: Callable[[Term], Rows], predicate: Term) -> Rows:
+    """``rows(predicate)`` with ``extra(predicate)`` merged into a copy."""
+    merged, more = rows(predicate), extra(predicate)
+    if more:
+        merged = dict(merged)
+        for key, found in more.items():
+            have = merged.get(key)
+            merged[key] = found if have is None else tuple(sorted({*have, *found}))
+    return merged
+
+
+def _grouped(pairs) -> Rows:
     """Each first term -> the distinct second terms paired with it, in term order."""
     found: dict[Term, set[Term]] = {}
     for key, value in pairs:

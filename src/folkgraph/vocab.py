@@ -111,6 +111,14 @@ PROVENANCE_TAGS = (
 )
 PROVENANCE_PREDICATE = {tag: fg("from" + tag[0].upper() + tag[1:]) for tag in PROVENANCE_TAGS}
 
+# Every one-hop row the detector and the expander read, and all the workspace
+# snapshot holds: objects by subject of ONE_HOP_OBJECTS, subjects by object of
+# ONE_HOP_SUBJECTS.
+ONE_HOP_OBJECTS = (
+    EVOKES, SENSE_KEY, TRIGGERS, AFFECT_ROLE, AFFECT_POLARITY, OWL_SAME_AS, EXTERNAL_URL, *CONCEPT_RELATIONS
+)
+ONE_HOP_SUBJECTS = (EVOKES, SENSE_KEY, SKOS_CLOSE_MATCH, *CONCEPT_RELATIONS)
+
 # Sentence annotation layer
 SENTENCE_NODE = fg("SentenceNode")
 ANCHOR = fg("anchor")

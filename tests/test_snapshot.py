@@ -1,6 +1,7 @@
 """The snapshot build-kb writes: detect and expand from it equal detect and
 expand from the graph files, a snapshot that does not match the workspace is
-never used, and detect decodes only its own section."""
+never used, loading it never runs code, and detect decodes no row only the
+expander reads."""
 
 import gc
 import json
@@ -16,13 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from folkgraph import manifest as workspace_io
+from folkgraph import vocab
 from folkgraph.cli import main
-from folkgraph.detector import TABLE_PREDICATES
-from folkgraph.expansion import OBJECT_PREDICATES, SUBJECT_PREDICATES
+from folkgraph.lexicon import Lexicon
 from folkgraph.manifest import SNAPSHOT_FILE, WORKSPACE_ENV, load_workspace, open_detector, open_expander
 from folkgraph.rdfio import to_ntriples
-from folkgraph.terms import IRI, Term, Triple
-from folkgraph.vocab import NAMESPACES, PREFIXES, TRIGGERS
+from folkgraph.store import TripleStore, one_hop
+from folkgraph.terms import IRI, Term, Triple, blank, iri, lit
+from folkgraph.vocab import NAMESPACES, ONE_HOP_OBJECTS, ONE_HOP_SUBJECTS, PREFIXES, TRIGGERS
 
 from kb import LEXICON_GRAPH, MINI_SENTENCES, t, write_mini_pipeline
 from test_cli import write_sentences
@@ -146,38 +148,82 @@ def test_snapshot_of_another_format_or_interpreter_falls_back(mini, tmp_path, mo
     expected = detect(manifest, inputs, tmp_path / "expected")
     snapshot = workspace / SNAPSHOT_FILE
     magic, body = snapshot.read_bytes().split(b"\n", 1)
-    version, cache_tag, key, payload = marshal.loads(body)
+    version, cache_tag, key, *payload = marshal.loads(body)
     if field == "version":
         version += 1
     else:
         cache_tag = f"not-{sys.implementation.cache_tag}"
-    snapshot.write_bytes(magic + b"\n" + marshal.dumps((version, cache_tag, key, payload)))
+    snapshot.write_bytes(magic + b"\n" + marshal.dumps((version, cache_tag, key, *payload)))
     assert not uses_snapshot(workspace, monkeypatch)
     assert detect(manifest, inputs, tmp_path / "other") == expected
 
 
-def test_snapshot_of_the_version_2_term_layout_falls_back(mini, tmp_path, monkeypatch):
-    """Version 2 stored each term as (kind, value, datatype or None, lang or
-    None); read as today's (rank, value, datatype, lang) they are not terms."""
-    manifest, workspace, inputs = mini
-    expected = detect(manifest, inputs, tmp_path / "expected")
+def test_snapshot_with_a_damaged_row_dump_falls_back(project, tmp_path, monkeypatch):
+    """A byte changed inside one predicate's rows, which the outer dump does
+    not notice and which decode only when a consumer asks for them."""
+    manifest, workspace = project
+    inputs = write_sentences(tmp_path / "sentences.jsonl", MINI_SENTENCES)
+    expected_expand = expand(manifest)
+    expected_detect = detect(manifest, inputs, tmp_path / "expected")
     snapshot = workspace / SNAPSHOT_FILE
     magic, body = snapshot.read_bytes().split(b"\n", 1)
-    _, cache_tag, key, sections = marshal.loads(body)
-
-    def old_layout(section):
-        fields, *tables = marshal.loads(section)
-        terms = map(Term._make, fields)
-        return marshal.dumps((
-            [(term.kind, term.value, term.datatype or None, term.lang or None) for term in terms],
-            *tables,
-        ))
-
-    sections = tuple(map(old_layout, sections))
-    snapshot.write_bytes(magic + b"\n" + marshal.dumps((2, cache_tag, key, sections)))
+    version, cache_tag, key, crc, payload = marshal.loads(body)
+    fields, rows, lexical, objects, subjects = marshal.loads(payload)
+    evokes = bytearray(objects[vocab.EVOKES.value])
+    evokes[len(evokes) // 2] ^= 0xFF
+    objects[vocab.EVOKES.value] = bytes(evokes)
+    payload = marshal.dumps((fields, rows, lexical, objects, subjects))
+    snapshot.write_bytes(magic + b"\n" + marshal.dumps((version, cache_tag, key, crc, payload)))
     assert not uses_snapshot(workspace, monkeypatch)
     assert not uses_snapshot(workspace, monkeypatch, expander=True)
-    assert detect(manifest, inputs, tmp_path / "old") == expected
+    assert detect(manifest, inputs, tmp_path / "damaged") == expected_detect
+    assert expand(manifest) == expected_expand
+
+
+DETECTOR_OBJECTS = (vocab.EVOKES, vocab.SENSE_KEY, vocab.TRIGGERS, vocab.AFFECT_ROLE, vocab.AFFECT_POLARITY)
+
+
+def _two_sections(payload):
+    """The version-3 layout of a payload: the detector's section (every term
+    as its four fields, the lexicon's tables and the detector's five object
+    tables) and the expander's (its other object tables and its subject
+    tables), every table keyed by the id of its predicate."""
+    fields, rows, lexical, objects, subjects = marshal.loads(payload)
+    terms = [(0, f, "", "") if isinstance(f, str) else f for f in fields]
+
+    def tables(dumps, names):
+        out = {}
+        for name in names:
+            terms.append((0, name, "", ""))
+            out[len(terms) - 1] = marshal.loads(dumps[name])
+        return out
+
+    detector_names = [p.value for p in DETECTOR_OBJECTS]
+    detector_tables = tables(objects, detector_names)
+    expander_objects = tables(objects, [name for name in objects if name not in detector_names])
+    expander_subjects = tables(subjects, list(subjects))
+    return (
+        marshal.dumps((terms, rows, lexical, detector_tables)),
+        marshal.dumps(([], expander_objects, expander_subjects)),
+    )
+
+
+@pytest.mark.parametrize("version", [3, 4])
+def test_snapshot_of_the_version_3_two_section_layout_falls_back(project, tmp_path, monkeypatch, version):
+    """Version 3 held a detector's and an expander's section; neither detect
+    nor expand reads that layout, even under today's version number."""
+    manifest, workspace = project
+    inputs = write_sentences(tmp_path / "sentences.jsonl", MINI_SENTENCES)
+    expected_expand = expand(manifest)
+    expected_detect = detect(manifest, inputs, tmp_path / "expected")
+    snapshot = workspace / SNAPSHOT_FILE
+    magic, body = snapshot.read_bytes().split(b"\n", 1)
+    _, cache_tag, key, _, payload = marshal.loads(body)
+    snapshot.write_bytes(magic + b"\n" + marshal.dumps((version, cache_tag, key, _two_sections(payload))))
+    assert not uses_snapshot(workspace, monkeypatch)
+    assert not uses_snapshot(workspace, monkeypatch, expander=True)
+    assert detect(manifest, inputs, tmp_path / "old") == expected_detect
+    assert expand(manifest) == expected_expand
 
 
 def test_triggers_expanded_after_build_kb_are_picked_up(tmp_path, monkeypatch):
@@ -215,15 +261,15 @@ def _write_random_project(root: Path, rng: random.Random, hops: bool = False) ->
     """A project over ``_detection_kb``: its lexical and affect graphs and one
     trigger graph as base graphs, the other (overlapping) trigger graph as
     expansion output, one file per value. With ``hops``, one more base graph
-    holds random edges of every predicate the expander reads, between IRIs
-    of the other graphs and a few new ones."""
+    holds random edges of every predicate the snapshot holds rows of, between
+    IRIs of the other graphs and a few new ones."""
     store, words = _detection_kb(rng)
     graphs = {name: graph.triples for name, graph in store.graphs.items()}
     expansion = graphs.pop(t("g:triggers-b"))
     if hops:
         nodes = sorted({term for g in graphs.values() for tr in g for term in tr if term.kind == IRI})
         nodes += [t(f"cn:new{i}") for i in range(3)]
-        predicates = sorted({*OBJECT_PREDICATES, *SUBJECT_PREDICATES})
+        predicates = sorted({*ONE_HOP_OBJECTS, *ONE_HOP_SUBJECTS})
         graphs[t("g:hops")] = {
             Triple(rng.choice(nodes), rng.choice(predicates), rng.choice(nodes)) for _ in range(rng.randint(0, 40))
         }
@@ -282,26 +328,89 @@ def test_open_detector_keeps_gc_state(mini, gc_enabled, keep_snapshot):
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 2**32 - 1))
-def test_random_kb_snapshot_tables_equal_the_rebuilt_store(seed):
+def test_random_kb_snapshot_rows_equal_the_rebuilt_store(seed):
     rng = random.Random(seed)
     with tempfile.TemporaryDirectory() as tmp:
         workspace = Path(tmp) / "workspace"
         _write_random_project(Path(tmp), rng, hops=True)
-        _, tables, expander = workspace_io._load_snapshot(workspace, expander=True)
+        _, rows = workspace_io._load_snapshot(workspace)
         store, _, _ = load_workspace(workspace)
         store.freeze()
+        rebuilt = one_hop(store)
         triples = {tr for graph in store.graphs.values() for tr in graph.triples}
-        for predicate in TABLE_PREDICATES:
+        for predicate in ONE_HOP_OBJECTS:
             subjects = {tr.s for tr in triples if tr.p == predicate}
-            assert tables[predicate] == {s: tuple(store.objects(s, predicate)) for s in subjects}
-        assert sorted(expander.objects) == sorted(OBJECT_PREDICATES)
-        for predicate in OBJECT_PREDICATES:
-            subjects = {tr.s for tr in triples if tr.p == predicate}
-            assert expander.objects[predicate] == {s: tuple(store.objects(s, predicate)) for s in subjects}
-        assert sorted(expander.subjects) == sorted(SUBJECT_PREDICATES)
-        for predicate in SUBJECT_PREDICATES:
+            assert rows.objects(predicate) == rebuilt.objects(predicate)
+            assert rows.objects(predicate) == {s: tuple(store.objects(s, predicate)) for s in subjects}
+        for predicate in ONE_HOP_SUBJECTS:
             objects = {tr.o for tr in triples if tr.p == predicate}
-            assert expander.subjects[predicate] == {o: tuple(store.subjects(predicate, o)) for o in objects}
+            assert rows.subjects(predicate) == rebuilt.subjects(predicate)
+            assert rows.subjects(predicate) == {o: tuple(store.subjects(predicate, o)) for o in objects}
+
+
+def test_snapshot_rows_of_a_predicate_it_does_not_hold_raise_key_error(mini):
+    """A consumer that reads a row the snapshot lacks fails, rather than
+    reading no edges."""
+    _, workspace, _ = mini
+    _, rows = workspace_io._load_snapshot(workspace)
+    assert rows.objects(vocab.EVOKES)
+    for missing in (vocab.RDF_TYPE, vocab.SKOS_CLOSE_MATCH):
+        with pytest.raises(KeyError):
+            rows.objects(missing)
+    for missing in (vocab.RDF_TYPE, vocab.TRIGGERS):
+        with pytest.raises(KeyError):
+            rows.subjects(missing)
+
+
+def _plain_data(value):
+    """Every value nested in ``value``, and in every ``marshal`` dump it holds."""
+    yield value
+    if isinstance(value, bytes):
+        yield from _plain_data(marshal.loads(value))
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _plain_data(item)
+    elif isinstance(value, dict):
+        for item in value.items():
+            yield from _plain_data(item)
+
+
+def test_snapshot_holds_only_plain_data(project):
+    """Loading the snapshot never runs code: the header, the payload and every
+    per-predicate dump hold strings, integers, bytes and containers only."""
+    _, workspace = project
+    data = (workspace / SNAPSHOT_FILE).read_bytes()
+    assert data.startswith(workspace_io._SNAPSHOT_MAGIC)
+    found = list(_plain_data(marshal.loads(data[len(workspace_io._SNAPSHOT_MAGIC) :])))
+    assert {type(value) for value in found} <= {str, int, tuple, list, dict, bytes}
+    dumps = sum(isinstance(value, bytes) for value in found)
+    assert dumps == 1 + len(ONE_HOP_OBJECTS) + len(ONE_HOP_SUBJECTS)  # the payload and one per row
+
+
+def test_terms_that_share_a_value_decode_as_distinct_terms():
+    """An IRI is stored as its bare value; a blank node or a literal with the
+    same value still decodes as itself."""
+    subject = iri("urn:s")
+    objects = [
+        iri("urn:x"),
+        blank("urn:x"),
+        lit("urn:x"),
+        lit("urn:x", datatype="urn:x"),
+        lit("urn:x", lang="en"),
+        lit(""),
+    ]
+    store = TripleStore()
+    store.extend(iri("urn:g"), [Triple(subject, p, o) for p in (vocab.EVOKES, vocab.SENSE_KEY) for o in objects])
+    store.extend(iri("urn:g"), [Triple(o, vocab.TRIGGERS, subject) for o in objects[:2]])
+    store.freeze()
+    lexicon, rows = workspace_io._decode(workspace_io._encode(store, Lexicon(store, [])))
+    expected = one_hop(store)
+    assert rows.objects(vocab.EVOKES) == expected.objects(vocab.EVOKES) == {subject: tuple(sorted(objects))}
+    assert len(set(rows.objects(vocab.EVOKES)[subject])) == len(objects)
+    assert [term.kind for term in rows.objects(vocab.EVOKES)[subject]] == [term.kind for term in sorted(objects)]
+    assert rows.subjects(vocab.SENSE_KEY) == expected.subjects(vocab.SENSE_KEY)
+    assert rows.objects(vocab.TRIGGERS) == expected.objects(vocab.TRIGGERS)
+    assert sorted(rows.objects(vocab.TRIGGERS)) == objects[:2]
 
 
 # -- expand from the snapshot ---------------------------------------------------------
@@ -332,8 +441,8 @@ def expand(manifest):
 
 def _older_version(data):
     magic, body = data.split(b"\n", 1)
-    version, cache_tag, key, payload = marshal.loads(body)
-    return magic + b"\n" + marshal.dumps((version - 1, cache_tag, key, payload))
+    version, cache_tag, key, *payload = marshal.loads(body)
+    return magic + b"\n" + marshal.dumps((version - 1, cache_tag, key, *payload))
 
 
 @pytest.mark.parametrize(
@@ -373,12 +482,20 @@ def test_expand_sees_a_graph_edited_after_build_kb(project, monkeypatch):
     assert expand(manifest) == edited
 
 
-def test_open_detector_decodes_only_its_own_section(mini, monkeypatch):
+def test_open_detector_decodes_no_row_only_the_expander_reads(mini, monkeypatch):
     _, workspace, _ = mini
     decoded = []
-    original = workspace_io._decode_expander
-    monkeypatch.setattr(workspace_io, "_decode_expander", lambda *args: decoded.append(args) or original(*args))
+    original = workspace_io._decode_rows
+
+    def spy(terms, dumps, predicate):
+        side = "objects" if set(dumps) == {p.value for p in ONE_HOP_OBJECTS} else "subjects"
+        decoded.append((side, predicate))
+        return original(terms, dumps, predicate)
+
+    monkeypatch.setattr(workspace_io, "_decode_rows", spy)
     assert uses_snapshot(workspace, monkeypatch)
-    assert decoded == []
+    assert sorted(decoded) == sorted(("objects", p) for p in DETECTOR_OBJECTS)
+    decoded.clear()
     assert uses_snapshot(workspace, monkeypatch, expander=True)
-    assert len(decoded) == 1
+    everything = [("objects", p) for p in ONE_HOP_OBJECTS] + [("subjects", p) for p in ONE_HOP_SUBJECTS]
+    assert sorted(decoded) == sorted(everything)

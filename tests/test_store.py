@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from folkgraph.store import StoreError, TripleStore
+from folkgraph.store import StoreError, TripleStore, one_hop
 from folkgraph.terms import Pattern, Triple, Variable, blank, iri, lit
 from oracles import brute_force_match, isomorphic, random_bgp, random_graphs
 
@@ -126,6 +126,24 @@ def test_one_hop_reads_agree_with_brute_force(seed):
         for b in brute_force_match(graphs, [Pattern(v("s"), probe.p, v("o"))]):  # sorted by o, then s
             inverse.setdefault(b["o"], []).append(b["s"])
         assert {o: list(s) for o, s in store.subjects_by_object(probe.p).items()} == inverse
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_union_of_one_hop_rows_equals_the_rows_of_the_union(seed):
+    rng = random.Random(seed)
+    graphs = random_graphs(rng, n_graphs=rng.randint(2, 4), n_triples=rng.randint(1, 12))
+    names = sorted(graphs)
+    cut = rng.randint(0, len(names))
+    stores = [TripleStore(), TripleStore(), TripleStore()]  # the first graphs, the others, all
+    for at, name in enumerate(names):
+        stores[at >= cut].extend(name, graphs[name])
+        stores[2].extend(name, graphs[name])
+    first, rest, union = (one_hop(store) for store in stores)
+    merged = first.union(rest)
+    for predicate in sorted({tr.p for g in graphs.values() for tr in g}) + [iri(EX + "absent")]:
+        assert merged.objects(predicate) == union.objects(predicate)
+        assert merged.subjects(predicate) == union.subjects(predicate)
 
 
 @st.composite
