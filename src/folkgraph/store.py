@@ -1,11 +1,14 @@
 """In-memory triple store with named graphs and pattern matching.
 
-Each named graph keeps a set of triples plus three hash indexes (subject,
-predicate, object) whose buckets list the triples in insertion order, so
-single-position lookups are dict hits and a basic graph pattern can always
-start from its most selective constant. Stores are built
-once and then frozen; mutation after freeze is a bug in the caller.
+Each named graph keeps its set of triples plus one index, by predicate, whose
+buckets list the triples in insertion order. The lexicon, the detector, the
+expander and the snapshot read a store as the rows of one predicate at a
+time, one two-column table per predicate (vertical partitioning). A pattern
+with a bound predicate reads its bucket; any other pattern scans the graph's
+triples. Stores are built once and then frozen; mutation after freeze is a
+bug in the caller.
 
+``predicate_rows`` groups one predicate's triples over a list of graphs.
 ``OneHop`` gives a source's one-hop rows, predicate by predicate:
 ``one_hop(store)`` makes them from a store, and the workspace snapshot
 decodes them.
@@ -14,7 +17,7 @@ decodes them.
 from __future__ import annotations
 
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .terms import Binding, Pattern, Term, Triple, Variable
 
@@ -27,14 +30,12 @@ class StoreError(ValueError):
 
 
 class NamedGraph:
-    """A set of triples under one graph name, with S/P/O indexes."""
+    """A set of triples under one graph name, with a predicate index."""
 
     def __init__(self, name: Term):
         self.name = name
         self.triples: set[Triple] = set()
-        self._by_s: dict[Term, list[Triple]] = {}
         self._by_p: dict[Term, list[Triple]] = {}
-        self._by_o: dict[Term, list[Triple]] = {}
 
     def __len__(self) -> int:
         return len(self.triples)
@@ -46,32 +47,18 @@ class NamedGraph:
         if triple in self.triples:
             return
         self.triples.add(triple)
-        self._by_s.setdefault(triple.s, []).append(triple)
         self._by_p.setdefault(triple.p, []).append(triple)
-        self._by_o.setdefault(triple.o, []).append(triple)
 
     def candidates(self, s: Term | None, p: Term | None, o: Term | None):
         """Triples matching the given constants; None positions are wildcards.
 
-        Scans the smallest index bucket among the bound positions.
+        Reads the predicate's bucket when ``p`` is bound, else every triple,
+        and filters on ``s`` and ``o``.
         """
-        pools = []
-        if s is not None:
-            pools.append(self._by_s.get(s, ()))
-        if p is not None:
-            pools.append(self._by_p.get(p, ()))
-        if o is not None:
-            pools.append(self._by_o.get(o, ()))
-        if not pools:
-            return iter(self.triples)
-        if len(pools) == 1:  # every triple in the bucket has the one bound term
-            return iter(pools[0])
-        smallest = min(pools, key=len)
-        return (
-            t
-            for t in smallest
-            if (s is None or t.s == s) and (p is None or t.p == p) and (o is None or t.o == o)
-        )
+        pool = self.triples if p is None else self._by_p.get(p, ())
+        if s is None and o is None:
+            return iter(pool)
+        return (t for t in pool if (s is None or t.s == s) and (o is None or t.o == o))
 
 
 class TripleStore:
@@ -126,22 +113,13 @@ class TripleStore:
     def __len__(self) -> int:
         return sum(len(g) for g in self.graphs.values())
 
-    def objects(self, s: Term, p: Term) -> list[Term]:
-        """Objects of (s, p) over every graph, deduplicated and in term order:
-        the bindings of ``match([Pattern(s, p, Variable("o"))])``."""
-        return sorted({t.o for g in self.graphs.values() for t in g.candidates(s, p, None)})
-
-    def subjects(self, p: Term, o: Term) -> list[Term]:
-        """Subjects of (p, o) over every graph, like ``objects``."""
-        return sorted({t.s for g in self.graphs.values() for t in g.candidates(None, p, o)})
-
     def objects_by_subject(self, p: Term) -> Rows:
-        """Subject -> ``objects(subject, p)`` for every subject of ``p``, as tuples."""
-        return _grouped((t.s, t.o) for g in self.graphs.values() for t in g.candidates(None, p, None))
+        """Subject -> objects of ``p`` over every graph, as ``predicate_rows`` gives them."""
+        return predicate_rows(self.graphs.values(), p)
 
     def subjects_by_object(self, p: Term) -> Rows:
-        """Object -> ``subjects(p, object)`` for every object of ``p``, as tuples."""
-        return _grouped((t.o, t.s) for g in self.graphs.values() for t in g.candidates(None, p, None))
+        """Object -> subjects of ``p`` over every graph, as ``predicate_rows`` gives them."""
+        return predicate_rows(self.graphs.values(), p, by_object=True)
 
     # -- matching ----------------------------------------------------------
 
@@ -236,16 +214,20 @@ def _union(rows: Callable[[Term], Rows], extra: Callable[[Term], Rows], predicat
     return merged
 
 
-def _grouped(pairs) -> Rows:
-    """Each first term -> the distinct second terms paired with it, in term order."""
-    found: dict[Term, set[Term]] = {}
-    for key, value in pairs:
-        values = found.get(key)
-        if values is None:
-            found[key] = {value}
-        else:
-            values.add(value)
-    return {key: tuple(sorted(values)) if len(values) > 1 else (*values,) for key, values in found.items()}
+def predicate_rows(graphs: Iterable[NamedGraph], p: Term, by_object: bool = False) -> Rows:
+    """Subject -> the objects of ``p`` in ``graphs`` (object -> the subjects, if
+    ``by_object``), each tuple in term order. A triple that several graphs state
+    counts once."""
+    key, value = (2, 0) if by_object else (0, 2)  # positions in a triple
+    found: dict[Term, list[Term]] = {}
+    for graph in graphs:
+        for triple in graph.candidates(None, p, None):
+            values = found.get(triple[key])
+            if values is None:
+                found[triple[key]] = [triple[value]]
+            else:
+                values.append(triple[value])
+    return {k: tuple(sorted(set(values))) if len(values) > 1 else (*values,) for k, values in found.items()}
 
 
 def _unique_sorted(bindings: list[Binding]) -> list[Binding]:

@@ -3,11 +3,13 @@
 Everything here favors obviousness over speed: the pattern matcher tries
 every combination of triples with nested loops, the generators build small
 random graphs with known shape, and ``isomorphic`` compares graphs up to
-blank node relabeling. Nothing in this file imports the
-store's matching code paths beyond the term model, except the reference
-detector, which answers every sense, activation and stance lookup with a
-store pattern match so the pipeline's one-hop reads and the detector's
-lookup tables can be checked against it.
+blank node relabeling. ``objects`` and ``subjects`` read a store by
+scanning every triple of every graph, and ``reference_lexicon_tables`` is the
+lexicon's per-subject build. Nothing in this file imports the store's
+matching code paths beyond the term model, except the reference detector,
+which answers every sense, activation and stance lookup with a store pattern
+match so the pipeline's one-hop reads and the detector's lookup tables can be
+checked against it.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from itertools import permutations
 
 from folkgraph import vocab
 from folkgraph.detector import ActivationPath, NodeAnnotation, SentenceGraph, StanceJudgment
-from folkgraph.terms import BLANK, Binding, Pattern, Term, Triple, Variable, iri, lit
+from folkgraph.lexicon import ELEMENT_TYPES, POS_VALUES, FrameElement, LexicalEntry, LexiconError, sense_rank
+from folkgraph.terms import BLANK, LITERAL, Binding, Pattern, Term, Triple, Variable, iri, lit
 
 
 def brute_force_match(graphs: dict[Term, set[Triple]], patterns: list[Pattern]) -> list[Binding]:
@@ -144,6 +147,82 @@ def random_lexical_kb(rng: random.Random) -> list[Triple]:
         if rng.random() < 0.3:
             triples.append(Triple(iri(ns["pb"] + f"p{frame.value[-1]}.01"), vocab.SKOS_CLOSE_MATCH, frame))
     return triples
+
+
+# -- reference store reads and lexicon build --------------------------------------
+
+
+def objects(store, s: Term, p: Term) -> list[Term]:
+    """Objects of (s, p) over every graph, deduplicated and in term order:
+    the bindings of ``match([Pattern(s, p, Variable("o"))])``."""
+    return sorted({t.o for g in store.graphs.values() for t in g.triples if t.s == s and t.p == p})
+
+
+def subjects(store, p: Term, o: Term) -> list[Term]:
+    """Subjects of (p, o) over every graph, like ``objects``."""
+    return sorted({t.s for g in store.graphs.values() for t in g.triples if t.p == p and t.o == o})
+
+
+def reference_lexicon_tables(store, lexical_graphs: list[Term]):
+    """``Lexicon(store, lexical_graphs).tables()`` as the lexicon's per-subject
+    build made them: each typed entry and frame is indexed from every triple on
+    its subject, graph by graph. A triple that two lexical graphs state counts
+    twice here, so compare it with the lexicon on one lexical graph only."""
+    stated = [t for name in lexical_graphs for t in store.graph(name).triples]
+    by_subject: dict[Term, dict[Term, list[Term]]] = {}
+    for t in stated:
+        by_subject.setdefault(t.s, {}).setdefault(t.p, []).append(t.o)
+
+    def values(subject: Term, predicate: Term) -> list[Term]:
+        return by_subject.get(subject, {}).get(predicate, [])
+
+    def literal(subject: Term, predicate: Term, what: str) -> str:
+        found = [o.value for o in values(subject, predicate) if o.kind == LITERAL]
+        if len(found) != 1:
+            raise LexiconError(f"{subject.value}: expected exactly one {what}, found {len(found)}")
+        return found[0]
+
+    by_lemma: dict[str, list[LexicalEntry]] = {}
+    by_form: dict[str, list[LexicalEntry]] = {}
+    frames: dict[Term, list[FrameElement]] = {}
+    multiwords: list[tuple[str, ...]] = []
+    for t in stated:
+        if t.p != vocab.RDF_TYPE or t.o != vocab.LEXICAL_ENTRY:
+            continue
+        lemma = literal(t.s, vocab.LEMMA, "lemma")
+        pos = literal(t.s, vocab.POS, "pos")
+        if pos not in POS_VALUES:
+            raise LexiconError(f"{t.s.value}: unknown pos {pos!r}")
+        senses = sorted(values(t.s, vocab.SENSE), key=lambda s: (sense_rank(s), s))
+        if not senses:
+            raise LexiconError(f"{t.s.value}: entry has no senses")
+        entry = LexicalEntry(t.s, lemma, pos, tuple(senses), tuple(sorted(values(t.s, vocab.CONCEPT_ANCHOR))))
+        by_lemma.setdefault(lemma, []).append(entry)
+        for form in values(t.s, vocab.FORM):
+            by_form.setdefault(form.value, []).append(entry)
+        if pos == "multiword":
+            multiwords.append(tuple(lemma.split(" ")))
+    for entries in [*by_lemma.values(), *by_form.values()]:
+        entries.sort(key=lambda e: (POS_VALUES.index(e.pos), e.node))
+    multiwords.sort(key=lambda words: (-len(words), words))
+    for t in stated:
+        if t.p != vocab.RDF_TYPE or t.o != vocab.FRAME:
+            continue
+        elements = []
+        for fe in sorted(values(t.s, vocab.ELEMENT)):
+            name = literal(fe, vocab.RDFS_LABEL, "element label")
+            element_type = literal(fe, vocab.ELEMENT_TYPE, "element type")
+            if element_type not in ELEMENT_TYPES:
+                raise LexiconError(f"{fe.value}: unknown element type {element_type!r}")
+            if name in {e.name for e in elements}:
+                raise LexiconError(f"{t.s.value}: duplicate element name {name!r}")
+            elements.append(FrameElement(fe, name, element_type))
+        frames[t.s] = elements
+    links = {(t.s, t.o) for t in stated if t.p == vocab.OWL_SAME_AS}
+    for s, o in sorted(links):
+        if (o, s) not in links:
+            raise LexiconError(f"sameAs is asymmetric: {s.value} -> {o.value} has no inverse")
+    return by_lemma, by_form, frames, multiwords
 
 
 def closure_justification_holds(store, trigger_triples: set[Triple], edge) -> bool:

@@ -12,7 +12,7 @@ from folkgraph.cli import main
 from folkgraph.manifest import SNAPSHOT_FILE
 from folkgraph.rdfio import parse_ntriples
 
-from kb import MINI_CORPUS, MINI_MANIFEST, MINI_PLAN, MINI_SENTENCES, write_mini_pipeline
+from kb import MINI_CORPUS, MINI_LEXICON, MINI_MANIFEST, MINI_PLAN, MINI_SENTENCES, PREFIX_HEADER, write_mini_pipeline
 
 
 @pytest.fixture(autouse=True)
@@ -233,6 +233,24 @@ def test_empty_datatype_iri_exits_2(root, manifest, capsys, graph):
     assert main(["build-kb", "--manifest", manifest]) == 2
     assert "empty datatype IRI" in capsys.readouterr().err
     assert not (root / "workspace" / "meta.json").exists()
+
+
+def test_lexical_graphs_that_share_an_entry_build_and_detect(root, manifest, capsys):
+    """An entry stated whole in two lexical graph files is one entry."""
+    entry = 'lex:dangerous-adjective a fg:LexicalEntry ; fg:lemma "dangerous" ; fg:pos "adjective" ;\n'
+    entry += "    fg:sense wn:dangerous-adjective-1 .\n"
+    assert entry in MINI_LEXICON
+    (root / "kb" / "shared.ttl").write_text(PREFIX_HEADER + entry, encoding="utf-8")
+    with open(manifest, "a", encoding="utf-8") as f:
+        f.write("graph = kb/shared.ttl | turtle | g:shared | lexical\n")
+    assert main(["build-kb", "--manifest", manifest]) == 0, capsys.readouterr().err
+    assert main(["expand", "--manifest", manifest, "--all"]) == 0
+    inputs = write_sentences(root / "sentences.jsonl", [("s1", "That is dangerous.")])
+    assert main(["detect", "--manifest", manifest, "--input", inputs, "--out", str(root / "out")]) == 0
+    [summary] = read_summaries(root / "out")
+    assert summary["values"] == ["folk:Risk"]
+    sense = vocab.PREFIXES.expand("wn:dangerous-adjective-1")
+    assert f"<{sense.value}>" in (root / "out" / "s1.nt").read_text(encoding="utf-8")
 
 
 def test_expand_before_build_exits_2(root, manifest):

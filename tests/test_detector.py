@@ -32,7 +32,7 @@ from folkgraph.vocab import (
     TRIGGERS,
 )
 from kb import LEXICON_GRAPH, pipeline_from_turtle, store_from_turtle, t
-from oracles import random_lexical_kb, reference_activation, reference_analyze, reference_stances
+from oracles import objects, random_lexical_kb, reference_activation, reference_analyze, reference_stances
 
 LEXICAL = """
 lex:dishonest-adjective a fg:LexicalEntry ; fg:lemma "dishonest" ; fg:pos "adjective" ;
@@ -191,7 +191,7 @@ def test_every_chain_link_is_a_store_triple(pipeline, detector):
     assert result.paths
     for path in result.paths:
         for link in path.links():
-            assert link.o in store.objects(link.s, link.p), link
+            assert link.o in objects(store, link.s, link.p), link
 
 
 def test_result_triples_cover_annotations_and_justifications(detector):

@@ -20,6 +20,7 @@ from folkgraph.terms import Triple
 from folkgraph.vocab import PREFIXES
 
 from kb import MINI_MANIFEST, write_mini_pipeline
+from oracles import objects
 
 
 @pytest.fixture
@@ -180,7 +181,7 @@ def test_workspace_round_trip(manifest_path):
     store.freeze()
     entry = lexicon.lookup_lemma("risk", "verb")[0]
     assert entry.lemma == "risk"
-    assert store.objects(PREFIXES.expand("folk:Risk"), vocab.RDF_TYPE) == [vocab.VALUE]
+    assert objects(store, PREFIXES.expand("folk:Risk"), vocab.RDF_TYPE) == [vocab.VALUE]
     assert meta == read_meta(workspace)
 
 
@@ -210,7 +211,7 @@ def test_load_trigger_graphs_recovers_names(manifest_path):
     names = load_trigger_graphs(store, workspace)
     assert names == [PREFIXES.expand("folk:Risk/triggers")]
     store.freeze()
-    assert store.objects(sense, vocab.TRIGGERS) == [risk]
+    assert objects(store, sense, vocab.TRIGGERS) == [risk]
 
 
 def test_load_trigger_graphs_rejects_mixed_values(manifest_path):

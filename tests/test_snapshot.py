@@ -26,6 +26,7 @@ from folkgraph.store import TripleStore, one_hop
 from folkgraph.terms import IRI, Term, Triple, blank, iri, lit
 from folkgraph.vocab import NAMESPACES, ONE_HOP_OBJECTS, ONE_HOP_SUBJECTS, PREFIXES, TRIGGERS
 
+import oracles
 from kb import LEXICON_GRAPH, MINI_SENTENCES, t, write_mini_pipeline
 from test_cli import write_sentences
 from test_detector import _detection_kb
@@ -341,11 +342,11 @@ def test_random_kb_snapshot_rows_equal_the_rebuilt_store(seed):
         for predicate in ONE_HOP_OBJECTS:
             subjects = {tr.s for tr in triples if tr.p == predicate}
             assert rows.objects(predicate) == rebuilt.objects(predicate)
-            assert rows.objects(predicate) == {s: tuple(store.objects(s, predicate)) for s in subjects}
+            assert rows.objects(predicate) == {s: tuple(oracles.objects(store, s, predicate)) for s in subjects}
         for predicate in ONE_HOP_SUBJECTS:
             objects = {tr.o for tr in triples if tr.p == predicate}
             assert rows.subjects(predicate) == rebuilt.subjects(predicate)
-            assert rows.subjects(predicate) == {o: tuple(store.subjects(predicate, o)) for o in objects}
+            assert rows.subjects(predicate) == {o: tuple(oracles.subjects(store, predicate, o)) for o in objects}
 
 
 def test_snapshot_rows_of_a_predicate_it_does_not_hold_raise_key_error(mini):

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from folkgraph.store import StoreError, TripleStore, one_hop
 from folkgraph.terms import Pattern, Triple, Variable, blank, iri, lit
-from oracles import brute_force_match, isomorphic, random_bgp, random_graphs
+from oracles import brute_force_match, isomorphic, objects, random_bgp, random_graphs, subjects
 
 EX = "http://example.org/"
 G = iri(EX + "g")
@@ -114,10 +115,10 @@ def test_one_hop_reads_agree_with_brute_force(seed):
     present = sorted(tr for g in graphs.values() for tr in g)
     probes = [rng.choice(present), Triple(absent, absent, absent)]
     for probe in probes:
-        objects = brute_force_match(graphs, [Pattern(probe.s, probe.p, v("o"))])
-        assert store.objects(probe.s, probe.p) == [b["o"] for b in objects]
-        subjects = brute_force_match(graphs, [Pattern(v("s"), probe.p, probe.o)])
-        assert store.subjects(probe.p, probe.o) == [b["s"] for b in subjects]
+        found = brute_force_match(graphs, [Pattern(probe.s, probe.p, v("o"))])
+        assert objects(store, probe.s, probe.p) == [b["o"] for b in found]
+        found = brute_force_match(graphs, [Pattern(v("s"), probe.p, probe.o)])
+        assert subjects(store, probe.p, probe.o) == [b["s"] for b in found]
         expected: dict = {}
         for b in brute_force_match(graphs, [Pattern(v("s"), probe.p, v("o"))]):
             expected.setdefault(b["s"], []).append(b["o"])
@@ -126,6 +127,27 @@ def test_one_hop_reads_agree_with_brute_force(seed):
         for b in brute_force_match(graphs, [Pattern(v("s"), probe.p, v("o"))]):  # sorted by o, then s
             inverse.setdefault(b["o"], []).append(b["s"])
         assert {o: list(s) for o, s in store.subjects_by_object(probe.p).items()} == inverse
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_candidates_are_the_matching_triples_for_every_bound_position(seed):
+    rng = random.Random(seed)
+    graphs = random_graphs(rng, n_graphs=rng.randint(1, 3), n_triples=rng.randint(0, 12))
+    store = TripleStore()
+    for name, triples in graphs.items():
+        store.extend(name, triples)
+    present = sorted(tr for g in graphs.values() for tr in g)
+    absent = iri(EX + "absent")
+    terms = [absent, *(term for tr in present for term in tr)]
+    probes = [Triple(*(rng.choice(terms) for _ in range(3))), Triple(absent, absent, absent)]
+    probes += [rng.choice(present)] if present else []
+    for name, triples in graphs.items():
+        for probe, bound in product(probes, product((False, True), repeat=3)):
+            s, p, o = (term if b else None for term, b in zip(probe, bound))
+            found = list(store.graph(name).candidates(s, p, o))
+            expected = {tr for tr in triples if s in (None, tr.s) and p in (None, tr.p) and o in (None, tr.o)}
+            assert len(found) == len(expected) and set(found) == expected, (probe, bound)
 
 
 @settings(max_examples=100, deadline=None)
